@@ -3,7 +3,8 @@
 All commands read simple flags, print a single JSON document on stdout, and
 are byte-deterministic for fixed inputs.  Exit codes: 0 success, 1
 verification failures, 2 usage or parse errors, 3 domain precondition
-violations.
+violations, 4 internal invariant violations (a `RuntimeError` raised by a
+cross-check of the library; reported as one `error:` line on stderr).
 
 Partitions are comma-separated parts, largest first, with the empty string
 for the empty partition; words are comma-separated generator indices,
@@ -110,10 +111,7 @@ def cmd_summands(n: int, r: int) -> list:
 
 @traced
 def cmd_normalize(word: list[int]) -> Optional[list]:
-    try:
-        nf = normalize(word)
-    except ValueError as exc:
-        raise CliError(3, str(exc)) from exc
+    nf = normalize(word)
     return None if nf is None else [list(iv) for iv in nf]
 
 
@@ -230,9 +228,17 @@ class RowCache:
         self.entries: dict[str, list] = {}
         self.dirty = False
         if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if data.get("format") != CACHE_FORMAT or data.get("version") != CACHE_VERSION:
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    data = json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise CliError(2, f"unreadable cache file {path!r}: {exc}") from exc
+            if (
+                not isinstance(data, dict)
+                or data.get("format") != CACHE_FORMAT
+                or data.get("version") != CACHE_VERSION
+                or not isinstance(data.get("entries"), dict)
+            ):
                 raise CliError(2, f"unsupported cache file {path!r}")
             self.entries = data["entries"]
 
@@ -270,20 +276,6 @@ class RowCache:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", default=True,
-        help="emit JSON on stdout (the default and only format)",
-    )
-    common.add_argument("--max-size", type=int, default=10,
-                        help="partition size bound for sweeps")
-    common.add_argument("--window", type=int, default=3,
-                        help="generator index window half-width for sweeps")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized sweeps")
-    common.add_argument("--cache", default=None, metavar="PATH",
-                        help="optional on-disk cache file for tensor rows")
-
     parser = argparse.ArgumentParser(
         prog="peritl",
         description=(
@@ -293,8 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("act", parents=[common],
-                       help="apply a generator word to a vector of partitions")
+    p = sub.add_parser("act", help="apply a generator word to a vector of partitions")
     p.add_argument("--rep", choices=("xi", "xi-prime"), required=True,
                    help="xi: twisted single-image action; xi-prime: add/remove action")
     p.add_argument("--word", required=True,
@@ -304,37 +295,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vector", default=None,
                    help='general vector as JSON [{"partition": [...], "coeff": n}, ...]')
 
-    p = sub.add_parser("tensor", parents=[common],
+    p = sub.add_parser("tensor",
                        help="all nonzero twisted images of a partition, by descending index")
     p.add_argument("--partition", required=True)
+    p.add_argument("--cache", default=None, metavar="PATH",
+                   help="optional on-disk cache file for tensor rows")
 
-    p = sub.add_parser("cell", parents=[common],
-                       help="cell index, block index, and ideal memberships")
+    p = sub.add_parser("cell", help="cell index, block index, and ideal memberships")
     p.add_argument("--partition", required=True)
     p.add_argument("--ideals-up-to", type=int, default=None,
                    help="report ideal membership for 0..K (default: up to cell+1)")
 
-    p = sub.add_parser("weight", parents=[common],
-                       help="rank and dominant weight attached to a partition")
+    p = sub.add_parser("weight", help="rank and dominant weight attached to a partition")
     p.add_argument("--partition", required=True)
 
-    p = sub.add_parser("summands", parents=[common],
+    p = sub.add_parser("summands",
                        help="tensor-power summand labels with appearance/projectivity flags")
     p.add_argument("--n", type=int, required=True, help="rank")
     p.add_argument("--r", type=int, required=True, help="tensor power")
 
-    p = sub.add_parser("normalize", parents=[common],
-                       help="normal form of a generator word (null when zero)")
+    p = sub.add_parser("normalize", help="normal form of a generator word (null when zero)")
     p.add_argument("--word", required=True)
 
-    p = sub.add_parser("witness", parents=[common],
-                       help="faithfulness witness of a nonzero element")
+    p = sub.add_parser("witness", help="faithfulness witness of a nonzero element")
     p.add_argument("--element", required=True,
                    help='JSON [{"word": [[a,b],...], "coeff": n}, ...]')
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run a verification suite; exit 1 on any failure")
+    p = sub.add_parser("verify", help="run a verification suite; exit 1 on any failure")
     p.add_argument("--suite", choices=SUITE_NAMES, required=True)
+    p.add_argument("--max-size", type=int, default=10,
+                   help="partition size bound for sweeps")
+    p.add_argument("--window", type=int, default=3,
+                   help="generator index window half-width for sweeps")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized sweeps")
 
     return parser
 
@@ -385,6 +379,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
+    except RuntimeError as exc:
+        message = " ".join(str(exc).split())
+        sys.stderr.write(f"error: internal invariant violated: {message}\n")
+        return 4
 
 
 def console_main() -> None:

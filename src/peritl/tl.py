@@ -10,14 +10,13 @@ and the loop parameter is zero) is represented by None.
 Normal forms are fully commutative words: sequences of integer intervals
 [a_1,b_1]...[a_r,b_r] with strictly decreasing starts and ends, encoding the
 generator word (a_1, a_1+1, ..., b_1, a_2, ..., b_r).  Distinct such words
-give distinct diagrams and every nonzero product of generators equals one of
-them; `normalize` recovers it by exhaustive diagram matching over the
-generator window, split into independent clusters of adjacent indices.
+give distinct diagrams (Jones 1983), and at parameter zero no relation
+produces a sum, so a product of generators is zero or exactly one of them.
+`normalize` therefore needs no search: it inserts the letters one at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .calltrace import traced
@@ -26,10 +25,6 @@ from .partitions import Partition, check_partition, remove_box
 
 FcsWord = tuple[tuple[int, int], ...]
 TLElement = dict[FcsWord, int]
-
-# Widest run of adjacent generator indices normalize will search; the index
-# for a run of width w holds Catalan(w+1) diagrams.
-MAX_CLUSTER_WIDTH = 11
 
 
 # ---------------------------------------------------------------------------
@@ -271,46 +266,47 @@ def fcs_words_in_range(lo: int, hi: int, max_len: Optional[int] = None):
     yield from rec((), hi + 2, hi + 2, 0)
 
 
-@lru_cache(maxsize=None)
-def _diagram_index(lo: int, hi: int) -> dict:
-    """Map every fully commutative monomial diagram on lo..hi to its word."""
-    if hi - lo + 1 > MAX_CLUSTER_WIDTH:
-        raise ValueError(
-            f"normal-form search over generators {lo}..{hi} exceeds the "
-            f"supported window width {MAX_CLUSTER_WIDTH}"
-        )
-    index: dict = {}
-
-    def rec(word: FcsWord, diag: TLDiagram, prev_a: int, prev_b: int) -> None:
-        if diag in index:
-            raise RuntimeError(
-                f"distinct words {index[diag]} and {word} share a diagram"
-            )
-        index[diag] = word
-        for a in range(min(prev_a - 1, hi), lo - 1, -1):
-            for b in range(min(prev_b - 1, hi), a - 1, -1):
-                child = diagram_product(diag, interval_diagram(a, b))
-                if child is None:
-                    raise RuntimeError(
-                        f"monomial {word + ((a, b),)} collapsed to zero"
-                    )
-                rec(word + ((a, b),), child, a, b)
-
-    rec((), IDENTITY, hi + 2, hi + 2)
-    return index
+def _reduce(word: list[int]) -> Optional[list[int]]:
+    """Insert the letters of `word` by the rules of `normalize`; None for zero."""
+    cur: list[int] = []
+    todo = word[::-1]
+    while todo:
+        q = todo.pop()
+        if q not in cur:
+            cur.append(q)
+            continue
+        p = len(cur) - 1 - cur[::-1].index(q)
+        after = [s for s in range(p + 1, len(cur)) if abs(cur[s] - q) == 1]
+        if not after:
+            return None
+        if len(after) == 1:
+            todo.extend(reversed(cur[after[0] + 1 :]))
+            del cur[after[0] :]
+        else:
+            cur.append(q)
+    return cur
 
 
-def _clusters(letters: list[int]) -> list[tuple[int, int]]:
-    """Split sorted distinct generator indices into runs with gaps <= 1."""
-    runs = []
-    start = prev = letters[0]
-    for x in letters[1:]:
-        if x - prev > 1:
-            runs.append((start, prev))
-            start = x
-        prev = x
-    runs.append((start, prev))
-    return runs
+def _intervals(cur: list[int]) -> list[tuple[int, int]]:
+    """Intervals of a reduced fully commutative word: taking each time the
+    largest letter with no equal or adjacent letter before it lists the
+    normal form in order, cut into runs x, x+1, ..."""
+    todo: dict[int, list[int]] = {}  # letter -> its positions, first last
+    for k in reversed(range(len(cur))):
+        todo.setdefault(cur[k], []).append(k)
+
+    def first(x: int) -> int:
+        return todo[x][-1] if todo.get(x) else len(cur)
+
+    out: list[tuple[int, int]] = []
+    for _ in cur:
+        x = max(x for x in todo if first(x) < min(first(x - 1), first(x + 1)))
+        todo[x].pop()
+        if out and out[-1][1] == x - 1:
+            out[-1] = (out[-1][0], x)
+        else:
+            out.append((x, x))
+    return out
 
 
 @traced
@@ -318,10 +314,25 @@ def normalize(word: Iterable[int]) -> Optional[FcsWord]:
     """Normal form of a generator word: None for zero, else the unique
     fully commutative word with the same diagram.
 
-    Letters in distinct adjacency clusters commute, so each cluster is
-    normalized independently against an exhaustive diagram table for its
-    window and the results are merged; the merged word is re-checked against
-    the diagram of the input.
+    The letters are multiplied left to right into a word `cur` in which
+    consecutive occurrences of any letter q have both q-1 and q+1 between
+    them: in type A, the reduced fully commutative words (Stembridge 1996).
+    With p the last position of q in `cur`, multiplying by q:
+
+    - if q does not occur, append q;
+    - if neither q-1 nor q+1 occurs after p, everything after p commutes
+      with q and e_q e_q = 0: the product is zero;
+    - if both occur after p, append q;
+    - if exactly one occurs after p, at s (and only there), everything else
+      after p commutes with q and e_q e_{q+-1} e_q = e_q: cut `cur` back to
+      cur[:s] and insert cur[s+1:] again.
+
+    The cases are exhaustive and keep the invariant; as no relation at
+    parameter zero produces a sum, `cur` stays equal to the product, and
+    each cut drops two letters for good, so the loop ends after
+    polynomially many steps.  The intervals are then read off greedily, and
+    the zero verdict and the normal form are both checked against the
+    diagram of the input.
 
     >>> normalize([0, 1, 0])
     ((0, 0),)
@@ -332,25 +343,15 @@ def normalize(word: Iterable[int]) -> Optional[FcsWord]:
     """
     word = [int(q) for q in word]
     target = word_to_diagram(word)
-    if target is None:
+    cur = _reduce(word)
+    if (cur is None) != (target is None):
+        raise RuntimeError(f"insertion and diagram disagree on whether {word} is zero")
+    if cur is None:
         return None
-    if target.is_identity():
-        return ()
-    intervals: list[tuple[int, int]] = []
-    for lo, hi in _clusters(sorted(set(word))):
-        sub = [q for q in word if lo <= q <= hi]
-        sub_diag = word_to_diagram(sub)
-        if sub_diag is None:
-            return None
-        if sub_diag.is_identity():
-            continue
-        w = _diagram_index(lo, hi).get(sub_diag)
-        if w is None:
-            raise RuntimeError(
-                f"no fully commutative word on {lo}..{hi} matches {sub}"
-            )
-        intervals.extend(w)
-    result = check_fcs_word(sorted(intervals, key=lambda iv: -iv[0]))
+    try:
+        result = check_fcs_word(_intervals(cur))
+    except ValueError as exc:
+        raise RuntimeError(f"{cur} from {word} is not fully commutative: {exc}") from exc
     if fcs_to_diagram(result) != target:
         raise RuntimeError(f"normal form {result} does not reproduce {word}")
     return result

@@ -1,13 +1,20 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Everything here works on raw sets of (row, col) boxes, deliberately sharing
-no code with the library's row-length representation.
+The partition oracles work on raw sets of (row, col) boxes, deliberately
+sharing no code with the library's row-length representation.  The
+normal-form oracle is an exhaustive search over the library's planar
+diagrams, sharing no code with the insertion algorithm of `normalize`.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
 from peritl.partitions import Partition, enumerate_partitions
+from peritl.tl import IDENTITY, diagram_product, interval_diagram
+
+# Widest generator window the normal-form oracle searches: its table for a
+# window of width w holds Catalan(w+1) diagrams (4862 at 8).
+ORACLE_MAX_WIDTH = 8
 
 
 @lru_cache(maxsize=None)
@@ -150,3 +157,23 @@ def partition_count(n: int) -> int:
                 table[m - maxpart][min(maxpart, m - maxpart)] if maxpart <= m else 0
             )
     return table[n][n]
+
+
+@lru_cache(maxsize=None)
+def oracle_normal_forms(lo: int, hi: int) -> dict:
+    """Map every fully commutative monomial diagram on generators lo..hi to
+    its word, by exhaustive search; distinct words must give distinct,
+    nonzero diagrams."""
+    if hi - lo + 1 > ORACLE_MAX_WIDTH:
+        raise ValueError(f"window {lo}..{hi} is wider than {ORACLE_MAX_WIDTH}")
+    index: dict = {}
+
+    def rec(word, diag, prev_a: int, prev_b: int) -> None:
+        assert diag is not None and diag not in index, (word, index.get(diag))
+        index[diag] = word
+        for a in range(min(prev_a - 1, hi), lo - 1, -1):
+            for b in range(min(prev_b - 1, hi), a - 1, -1):
+                rec(word + ((a, b),), diagram_product(diag, interval_diagram(a, b)), a, b)
+
+    rec((), IDENTITY, hi + 2, hi + 2)
+    return index

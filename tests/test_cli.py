@@ -95,17 +95,31 @@ def test_tensor_cache(capsys, tmp_path, monkeypatch):
     second = check(capsys, "tensor", "tensor", "--partition", "2,1",
                    "--cache", str(cache))
     assert first == second
-    # a poisoned entry is caught when verification is on
+    # a poisoned entry is caught when verification is on, as an internal
+    # invariant violation
     data["entries"]["tensor-row:2,1"] = [[0, [9]]]
     cache.write_text(json.dumps(data))
-    with pytest.raises(RuntimeError):
-        run_cli(capsys, "tensor", "--partition", "2,1", "--cache", str(cache))
+    code, out, err = run_cli(capsys, "tensor", "--partition", "2,1",
+                             "--cache", str(cache))
+    assert code == 4 and out == ""
+    assert err.startswith("error: internal invariant violated: ")
+    assert err.count("\n") == 1
     # and a wrong version is refused
     data["version"] = 99
     cache.write_text(json.dumps(data))
     code, _, err = run_cli(capsys, "tensor", "--partition", "2,1",
                            "--cache", str(cache))
     assert code == 2 and "unsupported cache" in err
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"format": "peritl-cache"}'])
+def test_tensor_corrupt_cache(capsys, tmp_path, text):
+    cache = tmp_path / "rows.json"
+    cache.write_text(text)
+    code, out, err = run_cli(capsys, "tensor", "--partition", "2,1",
+                             "--cache", str(cache))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cell_example(capsys):
@@ -145,6 +159,15 @@ def test_normalize_examples(capsys):
     ]
 
 
+def test_normalize_wide_words(capsys):
+    # no window width is refused: an ascending run of 12 is one interval,
+    # and at width 40 e_38 e_39 e_38 = e_38 contracts the run
+    word = ",".join(map(str, range(12)))
+    assert check(capsys, "normalize", "normalize", "--word", word) == [[0, 11]]
+    word = ",".join(map(str, [*range(40), 38]))
+    assert check(capsys, "normalize", "normalize", "--word", word) == [[0, 38]]
+
+
 def test_witness_examples(capsys):
     element = json.dumps([{"word": [[0, 0]], "coeff": 1}])
     payload = check(capsys, "witness", "witness", "--element", element)
@@ -182,6 +205,34 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "marking")
     assert code == 1
     assert json.loads(out)["failures"]
+
+
+def test_exit_codes(capsys, monkeypatch):
+    assert run_cli(capsys, "normalize", "--word", "0")[0] == 0
+    # 1 (verification failures) is covered by test_verify_exit_code_on_failure
+    assert run_cli(capsys, "normalize", "--word", "0,x")[0] == 2
+    assert run_cli(capsys, "summands", "--n", "0", "--r", "1")[0] == 3
+
+    def broken(word):
+        raise RuntimeError("synthetic\nfailure")
+
+    monkeypatch.setattr(cli, "normalize", broken)
+    code, out, err = run_cli(capsys, "normalize", "--word", "0")
+    assert code == 4 and out == ""
+    assert err == "error: internal invariant violated: synthetic failure\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["act", "--rep", "xi", "--word", "0", "--partition", "", "--seed", "5"],
+    ["normalize", "--word", "0", "--window", "3"],
+    ["cell", "--partition", "2", "--cache", "rows.json"],
+    ["weight", "--partition", "2", "--json"],
+])
+def test_flags_outside_their_command_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_unknown_suite_usage_error(capsys):

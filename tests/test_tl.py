@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peritl.fock import apply_word
 from peritl.partitions import enumerate_partitions
@@ -26,6 +27,8 @@ from peritl.tl import (
     witness_partition,
     word_to_diagram,
 )
+
+from helpers import ORACLE_MAX_WIDTH, oracle_normal_forms
 
 
 def catalan(n):
@@ -106,22 +109,90 @@ def test_normalize_examples():
     assert normalize([1, 2, 3, 0, 1]) == ((1, 3), (0, 1))
     assert normalize([]) == ()
     assert normalize([2, 1, 0]) == ((2, 2), (1, 1), (0, 0))
-    # far-apart clusters are handled without building one huge index
+    # far-apart letters commute, whatever the span of the word
     assert normalize([10, -10]) == ((10, 10), (-10, -10))
     assert normalize([7, 8, 7, -5]) == ((7, 7), (-5, -5))
 
 
 def test_fcs_enumeration_is_catalan_complete():
     # the words on a window of w generators biject with the diagram basis,
-    # whose size is Catalan(w+1); this pins the search space of normalize
+    # whose size is Catalan(w+1)
     for lo, hi in [(0, 0), (-1, 1), (0, 3), (-2, 2)]:
         count = len(list(fcs_words_in_range(lo, hi)))
         assert count == catalan(hi - lo + 2)
 
 
 def test_normalize_roundtrip_window():
-    for w in fcs_words_in_range(-3, 3):
+    lo = -4
+    hi = lo + ORACLE_MAX_WIDTH - 1
+    table = oracle_normal_forms(lo, hi)
+    words = list(fcs_words_in_range(lo, hi))
+    assert len(words) == len(table)
+    for w in words:
+        assert table[fcs_to_diagram(w)] == w
         assert normalize(fcs_to_word(w)) == w
+
+
+def test_normalize_matches_oracle_on_short_words():
+    # the words of length <= 8 over the generators 0..4, grown letter by
+    # letter; a word with a zero prefix is zero, so growth stops there
+    table = oracle_normal_forms(0, 4)
+    todo = [((), IDENTITY)]
+    while todo:
+        prefix, prefix_diag = todo.pop()
+        for q in range(5):
+            word = prefix + (q,)
+            diag = diagram_product(prefix_diag, generator_diagram(q))
+            assert normalize(word) == (None if diag is None else table[diag]), word
+            if diag is not None and len(word) < 8:
+                todo.append((word, diag))
+
+
+@st.composite
+def wide_words(draw):
+    """A word on a window of 9..40 generators and its normal form, or None
+    when random letters were spliced in and the normal form is unknown.
+
+    The word starts as a random fully commutative word and is rewritten by
+    q -> q, q+-1, q and by swaps of letters at least two apart, which keep
+    the element."""
+    lo = draw(st.integers(-20, 20))
+    hi = lo + draw(st.integers(8, 39))
+    fcs, a, b = [], hi + 1, hi + 1
+    while True:
+        b -= draw(st.integers(1, 6))
+        a = min(a - draw(st.integers(1, 6)), b)
+        if a < lo:
+            break
+        fcs.append((a, b))
+    word = list(fcs_to_word(tuple(fcs)))
+    for k in draw(st.lists(st.integers(0, 10**6), max_size=12)):
+        if not word:
+            break
+        k %= len(word)
+        q = word[k]
+        if k % 2 and k + 1 < len(word) and abs(q - word[k + 1]) > 1:
+            word[k : k + 2] = [word[k + 1], q]
+        else:
+            word[k : k + 1] = [q, q + 1 if q < hi else q - 1, q]
+    noise = draw(st.lists(st.tuples(st.integers(0, 10**6), st.integers(lo, hi)), max_size=3))
+    for k, q in noise:
+        word.insert(k % (len(word) + 1), q)
+    return word, None if noise else tuple(fcs)
+
+
+@given(wide_words())
+@settings(max_examples=150, deadline=None)
+def test_normalize_wide_windows(case):
+    word, expected = case
+    nf = normalize(word)
+    diag = word_to_diagram(word)
+    assert (nf is None) == (diag is None)
+    if nf is not None:
+        assert check_fcs_word(nf) == nf
+        assert fcs_to_diagram(nf) == diag
+    if expected is not None:
+        assert nf == expected
 
 
 def test_distinct_words_distinct_diagrams():
