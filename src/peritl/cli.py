@@ -18,7 +18,6 @@ import os
 import sys
 from typing import Optional
 
-from .calltrace import traced
 from .fock import (
     FockVector,
     apply_word,
@@ -73,12 +72,10 @@ def _parse_json_flag(text: str, what: str):
 # command bodies (pure: parsed values in, JSON-ready payload out)
 
 
-@traced
 def cmd_act(rep: str, word: list[int], vec: FockVector) -> list:
     return vector_to_json(apply_word(vec, word, rep))
 
 
-@traced
 def cmd_tensor(lam: Partition, cache: Optional["RowCache"] = None) -> list:
     if cache is not None:
         rows = cache.tensor_row(lam)
@@ -87,19 +84,16 @@ def cmd_tensor(lam: Partition, cache: Optional["RowCache"] = None) -> list:
     return [{"q": q, "partition": list(kappa)} for q, kappa in rows]
 
 
-@traced
 def cmd_cell(lam: Partition, up_to: Optional[int] = None) -> dict:
     ks = None if up_to is None else range(up_to + 1)
     return stratum_report(lam, ks).to_json_dict()
 
 
-@traced
 def cmd_weight(lam: Partition) -> dict:
     n, omega = dominant_weight(lam)
     return {"n": n, "omega": list(omega)}
 
 
-@traced
 def cmd_summands(n: int, r: int) -> list:
     if n < 1 or r < 0:
         raise CliError(3, "need n >= 1 and r >= 0")
@@ -109,13 +103,11 @@ def cmd_summands(n: int, r: int) -> list:
     ]
 
 
-@traced
 def cmd_normalize(word: list[int]) -> Optional[list]:
     nf = normalize(word)
     return None if nf is None else [list(iv) for iv in nf]
 
 
-@traced
 def cmd_witness(element_json) -> dict:
     try:
         element = element_from_json(element_json)
@@ -128,7 +120,6 @@ def cmd_witness(element_json) -> dict:
     return {"partition": list(lam), "image": vector_to_json(image)}
 
 
-@traced
 def cmd_verify(suite: str, max_size: int, window: int, seed: int) -> VerifyReport:
     report = run_suite(suite, max_size=max_size, window=window, seed=seed)
     if suite == "all":
@@ -333,6 +324,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _nonnegative(value: Optional[int], flag: str) -> Optional[int]:
+    if value is not None and value < 0:
+        raise CliError(2, f"{flag} must be nonnegative, got {value}")
+    return value
+
+
 def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
@@ -358,7 +355,8 @@ def main(argv=None) -> int:
             if cache is not None:
                 cache.save()
         elif args.command == "cell":
-            _emit(cmd_cell(parse_partition(args.partition), args.ideals_up_to))
+            up_to = _nonnegative(args.ideals_up_to, "--ideals-up-to")
+            _emit(cmd_cell(parse_partition(args.partition), up_to))
         elif args.command == "weight":
             _emit(cmd_weight(parse_partition(args.partition)))
         elif args.command == "summands":
@@ -368,7 +366,12 @@ def main(argv=None) -> int:
         elif args.command == "witness":
             _emit(cmd_witness(_parse_json_flag(args.element, "element")))
         elif args.command == "verify":
-            report = cmd_verify(args.suite, args.max_size, args.window, args.seed)
+            report = cmd_verify(
+                args.suite,
+                _nonnegative(args.max_size, "--max-size"),
+                _nonnegative(args.window, "--window"),
+                args.seed,
+            )
             _emit(report.to_json_dict(include_timing=False))
             sys.stderr.write(
                 f"suite {report.suite}: {report.checked} checks, "

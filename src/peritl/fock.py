@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .calltrace import traced
 from .partitions import (
     Partition,
     add_box,
@@ -37,7 +36,6 @@ CASE_TAGS = ("A", "B", "C", "D", "E")
 REPRESENTATIONS = ("xi", "xi-prime")
 
 
-@traced
 def classify_case(lam: Partition, q: int) -> str:
     """Return the case tag "A".."E" for the pair (lam, q).
 
@@ -70,7 +68,6 @@ def classify_case(lam: Partition, q: int) -> str:
     return tags[0]
 
 
-@traced
 def xi_on_partition(lam: Partition, q: int) -> Optional[Partition]:
     """Twisted action of the index-q generator on a single partition.
 
@@ -98,7 +95,6 @@ def xi_on_partition(lam: Partition, q: int) -> Optional[Partition]:
     return delete_hook(lam, hook)
 
 
-@traced
 def xi_prime_on_partition(lam: Partition, q: int) -> FockVector:
     """Plain action on a single partition: add a q-box, remove a (q-1)-box.
 
@@ -119,7 +115,6 @@ def xi_prime_on_partition(lam: Partition, q: int) -> FockVector:
     return out
 
 
-@traced
 def xi_apply(vec: FockVector, q: int) -> FockVector:
     """Linear extension of the twisted generator action to a vector."""
     out: FockVector = {}
@@ -134,7 +129,6 @@ def xi_apply(vec: FockVector, q: int) -> FockVector:
     return out
 
 
-@traced
 def xi_prime_apply(vec: FockVector, q: int) -> FockVector:
     """Linear extension of the plain generator action to a vector."""
     out: FockVector = {}
@@ -148,7 +142,6 @@ def xi_prime_apply(vec: FockVector, q: int) -> FockVector:
     return out
 
 
-@traced
 def apply_word(vec: FockVector, word: Iterable[int], rep: str = "xi") -> FockVector:
     """Act by a product of generators, rightmost generator first.
 
@@ -172,7 +165,6 @@ def apply_word(vec: FockVector, word: Iterable[int], rep: str = "xi") -> FockVec
     return cur
 
 
-@traced
 def support_bounds(lam: Partition) -> tuple[int, int]:
     """A window [qmin, qmax] outside which both generator actions vanish.
 
@@ -190,7 +182,6 @@ def support_bounds(lam: Partition) -> tuple[int, int]:
     return (-len(lam), lam[0])
 
 
-@traced
 def tensor_block_multiplicity(nu: Partition, kappa: Partition, q: int) -> int:
     """Multiplicity of kappa in the index-q block of the box tensor of nu.
 
@@ -204,7 +195,6 @@ def tensor_block_multiplicity(nu: Partition, kappa: Partition, q: int) -> int:
     return 1 if xi_on_partition(nu, q) == kappa else 0
 
 
-@traced
 def tensor_multiplicity(nu: Partition, kappa: Partition) -> int:
     """Total multiplicity of kappa in the box tensor of nu, summed over q.
 

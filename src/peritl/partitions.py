@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .calltrace import traced
 
 Partition = tuple[int, ...]
 Box = tuple[int, int]
@@ -53,7 +52,6 @@ def has_content(lam: Partition, q: int) -> bool:
     return bool(lam) and 1 - len(lam) <= q <= lam[0] - 1
 
 
-@traced
 def staircase(k: int) -> Partition:
     """The staircase partition (k, k-1, ..., 1); k = 0 gives ().
 
@@ -67,7 +65,6 @@ def staircase(k: int) -> Partition:
     return tuple(range(k, 0, -1))
 
 
-@traced
 def contains(outer: Partition, inner: Partition) -> bool:
     """Diagram containment: every row of `inner` fits inside `outer`.
 
@@ -81,7 +78,6 @@ def contains(outer: Partition, inner: Partition) -> bool:
     return all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
-@traced
 def add_box(lam: Partition, q: int) -> Optional[Partition]:
     """Add the unique addable box of content q, or None if there is none.
 
@@ -92,18 +88,17 @@ def add_box(lam: Partition, q: int) -> Optional[Partition]:
     >>> add_box((2, 1), 1) is None
     True
     """
-    n = len(lam)
-    for i in range(1, n + 2):
-        cur = lam[i - 1] if i <= n else 0
-        prev = lam[i - 2] if i >= 2 else None
-        if (prev is None or prev > cur) and cur + 1 - i == q:
-            if i <= n:
-                return lam[: i - 1] + (cur + 1,) + lam[i:]
-            return lam + (1,)
-    return None
+    # The next box of row i + 1 has content lam[i] - i, which strictly
+    # decreases down the rows, so the first row at or below q decides.
+    for i, part in enumerate(lam):
+        c = part - i
+        if c <= q:
+            if c < q or (i and lam[i - 1] == part):
+                return None
+            return lam[:i] + (part + 1,) + lam[i + 1 :]
+    return lam + (1,) if q == -len(lam) else None
 
 
-@traced
 def remove_box(lam: Partition, q: int) -> Optional[Partition]:
     """Remove the unique removable box of content q, or None if there is none.
 
@@ -114,13 +109,14 @@ def remove_box(lam: Partition, q: int) -> Optional[Partition]:
     >>> remove_box((2, 1), 0) is None
     True
     """
-    n = len(lam)
-    for i in range(1, n + 1):
-        nxt = lam[i] if i < n else 0
-        if lam[i - 1] > nxt and lam[i - 1] - i == q:
-            if lam[i - 1] == 1:
-                return lam[: i - 1]
-            return lam[: i - 1] + (lam[i - 1] - 1,) + lam[i:]
+    # The last box of row i + 1 has content lam[i] - i - 1, strictly
+    # decreasing down the rows, so the first row at or below q decides.
+    for i, part in enumerate(lam):
+        c = part - i - 1
+        if c <= q:
+            if c < q or (i + 1 < len(lam) and lam[i + 1] == part):
+                return None
+            return lam[:i] + (part - 1,) + lam[i + 1 :] if part > 1 else lam[:i]
     return None
 
 
@@ -163,7 +159,6 @@ def rim_box(lam: Partition, q: int) -> Optional[Box]:
     raise RuntimeError(f"rim walk missed content {q} of {lam}")
 
 
-@traced
 def rim_boxes(lam: Partition) -> list[Box]:
     """All rim boxes, ordered by increasing content; one per content.
 
@@ -231,7 +226,6 @@ def remove_boxes(lam: Partition, boxes: Iterable[Box]) -> Optional[Partition]:
     return tuple(rows)
 
 
-@traced
 def rim_hook(lam: Partition, c1: int, c2: int) -> Optional[RimHook]:
     """The removable rim hook covering contents [c1, c2], or None.
 
@@ -269,7 +263,6 @@ def delete_hook(lam: Partition, hook: RimHook) -> Partition:
     return out
 
 
-@traced
 def minimal_balanced_hook_starting(lam: Partition, q: int) -> Optional[RimHook]:
     """The fewest-box removable balanced rim hook whose smallest content is q.
 
@@ -285,7 +278,6 @@ def minimal_balanced_hook_starting(lam: Partition, q: int) -> Optional[RimHook]:
     return None
 
 
-@traced
 def minimal_balanced_hook_ending(lam: Partition, q: int) -> Optional[RimHook]:
     """Mirror image: fewest-box removable balanced hook with largest content q."""
     if not has_content(lam, q):
@@ -297,7 +289,6 @@ def minimal_balanced_hook_ending(lam: Partition, q: int) -> Optional[RimHook]:
     return None
 
 
-@traced
 def two_core(lam: Partition) -> tuple[Partition, int]:
     """Strip rim 2-hooks (dominoes) until none remains.
 
@@ -326,7 +317,6 @@ def two_core(lam: Partition) -> tuple[Partition, int]:
     return cur, k
 
 
-@traced
 def transpose(lam: Partition) -> Partition:
     """The conjugate diagram.
 
@@ -373,7 +363,6 @@ def partitions_of(n: int) -> Iterator[Partition]:
             parts.append(rem)
 
 
-@traced
 def enumerate_partitions(max_size: int) -> Iterator[Partition]:
     """Every partition of every n <= max_size, by size then descending lex.
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .calltrace import traced
 from .fock import support_bounds, xi_on_partition
 from .partitions import (
     Partition,
@@ -22,7 +21,6 @@ from .partitions import (
 )
 
 
-@traced
 def cell_index(lam: Partition) -> int:
     """The unique k with staircase(k) inside lam but staircase(k+1) not.
 
@@ -39,13 +37,11 @@ def cell_index(lam: Partition) -> int:
     return k
 
 
-@traced
 def block_index(lam: Partition) -> int:
     """Index of the staircase left after stripping all dominoes."""
     return two_core(lam)[1]
 
 
-@traced
 def in_ideal(lam: Partition, k: int) -> bool:
     """Membership in the k-th ideal: staircase(k) fits inside lam.
 
@@ -57,7 +53,6 @@ def in_ideal(lam: Partition, k: int) -> bool:
     return contains(lam, staircase(k))
 
 
-@traced
 def quasi_order_compare(lam: Partition, mu: Partition) -> str:
     """Compare cell indices; "Equal" means same cell, not same partition.
 
@@ -70,7 +65,6 @@ def quasi_order_compare(lam: Partition, mu: Partition) -> str:
     return "Less" if a < b else "Greater" if a > b else "Equal"
 
 
-@traced
 def j_set(r: int) -> set[int]:
     """{r - 2i | 0 <= i <= r/2}, with {0} for r = 0.
 
@@ -84,7 +78,6 @@ def j_set(r: int) -> set[int]:
     return {r - 2 * i for i in range(r // 2 + 1)}
 
 
-@traced
 def j_zero_set(r: int) -> set[int]:
     """{r - 2i | 0 <= i < r/2}, with {0} for r = 0.
 
@@ -98,7 +91,6 @@ def j_zero_set(r: int) -> set[int]:
     return {r - 2 * i for i in range((r + 1) // 2)}
 
 
-@traced
 def summand_labels(n: int, r: int) -> list[tuple[Partition, bool, bool]]:
     """Label table for the r-th tensor power at rank n.
 
@@ -120,7 +112,6 @@ def summand_labels(n: int, r: int) -> list[tuple[Partition, bool, bool]]:
     return out
 
 
-@traced
 def ideal_closure_check(k: int, max_size: int) -> dict:
     """Sweep the k-th ideal up to max_size for closure under the twisted action.
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .calltrace import traced
 from .fock import FockVector, apply_word
 from .partitions import Partition, check_partition, remove_box
 
@@ -84,7 +83,6 @@ def _check_arc_side(arcs: frozenset[tuple[int, int]]) -> None:
 IDENTITY = TLDiagram(frozenset(), frozenset())
 
 
-@traced
 def generator_diagram(i: int) -> TLDiagram:
     """The index-i generator: a lower arc and an upper arc at (i, i+1).
 
@@ -127,7 +125,6 @@ def _matching(d: TLDiagram, lo: int, hi: int, bot: str, top: str) -> dict:
     return pairs
 
 
-@traced
 def diagram_product(d1: Optional[TLDiagram], d2: Optional[TLDiagram]) -> Optional[TLDiagram]:
     """Compose monomials: d2 is stacked below d1 and acts first.
 
@@ -184,7 +181,6 @@ def diagram_product(d1: Optional[TLDiagram], d2: Optional[TLDiagram]) -> Optiona
     return TLDiagram(frozenset(bottom_arcs), frozenset(top_arcs))
 
 
-@traced
 def word_to_diagram(word: Iterable[int]) -> Optional[TLDiagram]:
     """Left-to-right product of generator diagrams; empty word is identity.
 
@@ -221,7 +217,6 @@ def check_fcs_word(intervals: Iterable[Iterable[int]]) -> FcsWord:
     return w
 
 
-@traced
 def fcs_to_word(w: FcsWord) -> tuple[int, ...]:
     """Expand a fully commutative word into its generator sequence.
 
@@ -309,7 +304,6 @@ def _intervals(cur: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-@traced
 def normalize(word: Iterable[int]) -> Optional[FcsWord]:
     """Normal form of a generator word: None for zero, else the unique
     fully commutative word with the same diagram.
@@ -361,7 +355,6 @@ def normalize(word: Iterable[int]) -> Optional[FcsWord]:
 # element arithmetic
 
 
-@traced
 def element_multiply(x: TLElement, y: TLElement) -> TLElement:
     """Bilinear product of integer combinations of monomials.
 
@@ -412,7 +405,6 @@ def element_from_json(data) -> TLElement:
 # faithfulness machinery
 
 
-@traced
 def minimal_part(w: FcsWord, lam: Partition, *, full: bool = False) -> Optional[Partition]:
     """The size |lam| - len(w) part of the plain action of the monomial on lam.
 
@@ -440,6 +432,12 @@ def minimal_part(w: FcsWord, lam: Partition, *, full: bool = False) -> Optional[
                 f"bottom sector of {w} on {lam} is not a single unit term: {terms}"
             )
         return next(iter(terms))
+    return bottom_sector(word, lam)
+
+
+def bottom_sector(word: tuple[int, ...], lam: Partition) -> Optional[Partition]:
+    """`minimal_part` of an already expanded generator word: remove the box
+    of content q - 1 for each letter q, rightmost first."""
     cur: Optional[Partition] = lam
     for q in reversed(word):
         cur = remove_box(cur, q - 1)
@@ -457,7 +455,6 @@ def min_witness_rows(w: FcsWord) -> int:
     return max(1, 2 - w[-1][0] - r)
 
 
-@traced
 def witness_partition(w: FcsWord, p: int) -> Partition:
     """A partition on which the monomial acts with nonzero bottom sector.
 
@@ -483,7 +480,6 @@ def witness_partition(w: FcsWord, p: int) -> Partition:
     return check_partition(rows)
 
 
-@traced
 def faithfulness_witness(x: TLElement) -> Optional[tuple[Partition, FockVector]]:
     """A partition on which a nonzero element acts nonzero, with its image.
 

@@ -399,14 +399,15 @@ def _suite_faithfulness(run, max_size, window, rng, samples: int = 1000):
             tl.minimal_part(w, lam) is not None,
             law="witness-has-bottom-sector", word=w, partition=list(lam),
         )
+    expanded = [(w, tl.fcs_to_word(w)) for w in words]
     for lam in enumerate_partitions(max_size):
         seen: dict = {}
         boxes = sum(lam)
-        for w in words:
-            length = tl.fcs_length(w)
+        for w, word in expanded:
+            length = len(word)
             if length > boxes:
                 continue
-            part = tl.minimal_part(w, lam)
+            part = tl.bottom_sector(word, lam)
             run.checked += 1
             if part is None:
                 continue
@@ -422,7 +423,7 @@ def _suite_faithfulness(run, max_size, window, rng, samples: int = 1000):
             seen[key] = w
     for _ in range(samples):
         count = rng.randint(1, 4)
-        chosen = rng.sample(words, count)
+        chosen = rng.sample(words, min(count, len(words)))
         element = {w: rng.choice((-3, -2, -1, 1, 2, 3)) for w in chosen}
         try:
             witness = tl.faithfulness_witness(element)

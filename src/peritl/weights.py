@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .calltrace import traced
 from .partitions import (
     Box,
     Partition,
@@ -47,7 +46,6 @@ class Marking:
         }
 
 
-@traced
 def marking(lam: Partition) -> Marking:
     """Mark the diagram bottom-up: the right-most box of row i gets a diamond
     when fewer than lam[i] diamonds exist so far.
@@ -72,7 +70,6 @@ def marking(lam: Partition) -> Marking:
     return out
 
 
-@traced
 def d_tilde(lam: Partition) -> set[int]:
     """Contents of the marked boxes.
 
@@ -84,7 +81,6 @@ def d_tilde(lam: Partition) -> set[int]:
     return set(marking(lam).contents)
 
 
-@traced
 def d_set(lam: Partition) -> set[int]:
     """The marked contents, each shifted down by one.
 
@@ -96,7 +92,6 @@ def d_set(lam: Partition) -> set[int]:
     return {c - 1 for c in marking(lam).contents}
 
 
-@traced
 def weight_from_subset(subset: Iterable[int], n: int) -> DominantWeight:
     """Decode an n-subset of the integers as a dominant weight.
 
@@ -118,7 +113,6 @@ def weight_from_subset(subset: Iterable[int], n: int) -> DominantWeight:
     return omega
 
 
-@traced
 def dominant_weight(lam: Partition) -> tuple[int, DominantWeight]:
     """Rank and highest weight attached to a partition via its d-set.
 
@@ -137,7 +131,6 @@ class SearchBudgetExceeded(RuntimeError):
     """Raised when the d-set inversion search exhausts its size cap."""
 
 
-@traced
 def partition_from_d_set(subset: Iterable[int], n: int, max_boxes: Optional[int] = None) -> Partition:
     """The unique partition of cell index n with the given d-set.
 
@@ -175,7 +168,6 @@ def partition_from_d_set(subset: Iterable[int], n: int, max_boxes: Optional[int]
     )
 
 
-@traced
 def closed_form_weight(lam: Partition) -> Optional[DominantWeight]:
     """Closed formula for the weight of a generic partition, or None.
 
@@ -221,7 +213,6 @@ def closed_form_weight(lam: Partition) -> Optional[DominantWeight]:
     return results[0]
 
 
-@traced
 def check_box_addition_surgery(lam: Partition, q: int) -> dict:
     """Check how the d-set changes when the addable q-box is added.
 

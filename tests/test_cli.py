@@ -207,6 +207,14 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     assert json.loads(out)["failures"]
 
 
+@pytest.mark.parametrize("suite", ["faithfulness", "all"])
+def test_verify_window_zero(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--window", "0",
+                           "--max-size", "5")
+    assert code == 0
+    assert json.loads(out)["failures"] == []
+
+
 def test_exit_codes(capsys, monkeypatch):
     assert run_cli(capsys, "normalize", "--word", "0")[0] == 0
     # 1 (verification failures) is covered by test_verify_exit_code_on_failure
@@ -215,6 +223,15 @@ def test_exit_codes(capsys, monkeypatch):
 
     def broken(word):
         raise RuntimeError("synthetic\nfailure")
+
+    for argv in (
+        ["verify", "--suite", "all", "--max-size", "-3"],
+        ["verify", "--suite", "faithfulness", "--window", "-1"],
+        ["cell", "--partition", "2", "--ideals-up-to", "-3"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     monkeypatch.setattr(cli, "normalize", broken)
     code, out, err = run_cli(capsys, "normalize", "--word", "0")

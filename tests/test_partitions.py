@@ -71,12 +71,12 @@ def test_remove_box_examples():
 
 
 def test_corner_boxes_against_box_set_oracle():
-    for lam in enumerate_partitions(10):
+    for lam in enumerate_partitions(14):
         addable = oracle_addable(lam)
         removable = oracle_removable(lam)
         assert set(addable_contents(lam)) == set(addable)
         assert set(removable_contents(lam)) == set(removable)
-        for q in range(-len(lam) - 2, (lam[0] if lam else 0) + 3):
+        for q in range(-len(lam) - 3, (lam[0] if lam else 0) + 4):
             got = add_box(lam, q)
             if q in addable:
                 assert got == partition_of_boxes(boxes_of(lam) | {addable[q]})
@@ -87,6 +87,31 @@ def test_corner_boxes_against_box_set_oracle():
                 assert got == partition_of_boxes(boxes_of(lam) - {removable[q]})
             else:
                 assert got is None
+
+
+@st.composite
+def mid_partition_and_content(draw):
+    """A partition of 30-200 boxes and a content near it or far outside it."""
+    left = draw(st.integers(30, 200))
+    cap = draw(st.integers(1, left))
+    parts = []
+    while left:
+        parts.append(draw(st.integers(1, min(cap, left))))
+        left -= parts[-1]
+    lam = tuple(sorted(parts, reverse=True))
+    near = st.integers(-len(lam) - 3, lam[0] + 3)
+    return lam, draw(st.one_of(near, st.integers(-10**6, 10**6)))
+
+
+@given(mid_partition_and_content())
+@settings(max_examples=150, deadline=None)
+def test_box_edits_against_box_set_oracle_mid_scale(case):
+    lam, q = case
+    addable, removable = oracle_addable(lam), oracle_removable(lam)
+    up = partition_of_boxes(boxes_of(lam) | {addable[q]}) if q in addable else None
+    down = partition_of_boxes(boxes_of(lam) - {removable[q]}) if q in removable else None
+    assert add_box(lam, q) == up
+    assert remove_box(lam, q) == down
 
 
 def test_add_remove_contents_interlace():

@@ -1,7 +1,10 @@
+import cProfile
+import inspect
+
 import pytest
 
-from peritl import calltrace
-from peritl.cli import cmd_verify
+import peritl
+from peritl import cli
 from peritl.verify import SUITE_NAMES, run_suite
 
 
@@ -36,13 +39,28 @@ def test_all_aggregates():
     assert report.checked == sum(e["checked"] for e in report.parameters["suites"])
 
 
-def test_verify_all_touches_every_operation():
-    calltrace.reset()
-    calltrace.enable()
-    try:
-        report = cmd_verify("all", max_size=6, window=2, seed=0)
-    finally:
-        calltrace.disable()
+def missed_operations(suite: str) -> list[str]:
+    """Public operations (the functions exported by peritl plus the cli.cmd_*
+    command bodies) that a profiled `cmd_verify` run of `suite` never called."""
+    commands = {k: v for k, v in vars(cli).items() if k.startswith("cmd_")}
+    operations = {
+        fn.__code__: f"{fn.__module__.rsplit('.', 1)[-1]}.{name}"
+        for name, fn in {**vars(peritl), **commands}.items()
+        if inspect.isfunction(fn)
+    }
+    assert len(operations) == 55
+    prof = cProfile.Profile()
+    report = prof.runcall(cli.cmd_verify, suite, max_size=6, window=2, seed=0)
     assert report.ok
-    missed = calltrace.REGISTERED - set(calltrace.counts)
-    assert not missed, f"operations never exercised: {sorted(missed)}"
+    called = {entry.code for entry in prof.getstats() if entry.callcount}
+    return sorted(name for code, name in operations.items() if code not in called)
+
+
+def test_verify_all_touches_every_operation():
+    missed = missed_operations("all")
+    assert not missed, f"operations never exercised: {missed}"
+
+
+def test_operation_coverage_reports_a_miss():
+    missed = missed_operations("marking")
+    assert "tl.normalize" in missed and "cli.cmd_witness" in missed
