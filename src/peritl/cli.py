@@ -257,8 +257,11 @@ class RowCache:
             "version": CACHE_VERSION,
             "entries": self.entries,
         }
-        with open(self.path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
+        try:
+            with open(self.path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, sort_keys=True)
+        except OSError as exc:
+            raise CliError(2, f"cannot write cache file {self.path!r}: {exc}") from exc
         self.dirty = False
 
 
@@ -351,9 +354,10 @@ def main(argv=None) -> int:
             _emit(cmd_act(args.rep, parse_word(args.word), vec))
         elif args.command == "tensor":
             cache = RowCache(args.cache) if args.cache else None
-            _emit(cmd_tensor(parse_partition(args.partition), cache))
+            rows = cmd_tensor(parse_partition(args.partition), cache)
             if cache is not None:
                 cache.save()
+            _emit(rows)
         elif args.command == "cell":
             up_to = _nonnegative(args.ideals_up_to, "--ideals-up-to")
             _emit(cmd_cell(parse_partition(args.partition), up_to))

@@ -51,7 +51,9 @@ def classify_case(lam: Partition, q: int) -> str:
     """
     a = add_box(lam, q) is not None
     b = remove_box(lam, q) is not None
-    c = not a and not any(has_content(lam, x) for x in (q - 1, q, q + 1))
+    c = not a and not (
+        has_content(lam, q - 1) or has_content(lam, q) or has_content(lam, q + 1)
+    )
     d = e = False
     box = rim_box(lam, q)
     if box is not None:
@@ -60,12 +62,12 @@ def classify_case(lam: Partition, q: int) -> str:
         below = box_in(lam, i + 1, j)
         d = right and not below
         e = below and not right
-    tags = [t for t, flag in zip(CASE_TAGS, (a, b, c, d, e)) if flag]
-    if len(tags) != 1:
+    if a + b + c + d + e != 1:
+        tags = [t for t, flag in zip(CASE_TAGS, (a, b, c, d, e)) if flag]
         raise RuntimeError(
             f"case split failed for lam={lam}, q={q}: matched {tags or 'nothing'}"
         )
-    return tags[0]
+    return "A" if a else "B" if b else "C" if c else "D" if d else "E"
 
 
 def xi_on_partition(lam: Partition, q: int) -> Optional[Partition]:
@@ -260,7 +262,9 @@ def vector_from_json(data) -> FockVector:
     vec: FockVector = {}
     for term in data:
         lam = check_partition(term["partition"])
-        coeff = int(term["coeff"])
+        coeff = term["coeff"]
+        if type(coeff) is not int:
+            raise ValueError(f"coefficients must be integers, got {coeff!r}")
         if lam in vec:
             raise ValueError(f"duplicate partition {lam} in vector")
         if coeff:

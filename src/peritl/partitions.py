@@ -24,8 +24,10 @@ def check_partition(parts: Iterable[int]) -> Partition:
     >>> check_partition([])
     ()
     """
-    t = tuple(int(p) for p in parts)
+    t = tuple(parts)
     for i, p in enumerate(t):
+        if type(p) is not int:
+            raise ValueError(f"parts must be integers, got {p!r} in {t}")
         if p < 1:
             raise ValueError(f"parts must be positive, got {p} in {t}")
         if i + 1 < len(t) and t[i + 1] > p:

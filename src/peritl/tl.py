@@ -207,8 +207,10 @@ def check_fcs_word(intervals: Iterable[Iterable[int]]) -> FcsWord:
     >>> check_fcs_word([[1, 3], [0, 1]])
     ((1, 3), (0, 1))
     """
-    w = tuple((int(a), int(b)) for (a, b) in intervals)
+    w = tuple((a, b) for (a, b) in intervals)
     for a, b in w:
+        if type(a) is not int or type(b) is not int:
+            raise ValueError(f"interval ends must be integers, got ({a!r}, {b!r})")
         if a > b:
             raise ValueError(f"interval ({a}, {b}) has a > b")
     for j in range(len(w) - 1):
@@ -393,7 +395,9 @@ def element_from_json(data) -> TLElement:
     out: TLElement = {}
     for term in data:
         w = check_fcs_word(term["word"])
-        coeff = int(term["coeff"])
+        coeff = term["coeff"]
+        if type(coeff) is not int:
+            raise ValueError(f"coefficients must be integers, got {coeff!r}")
         if w in out:
             raise ValueError(f"duplicate word {w} in element")
         if coeff:

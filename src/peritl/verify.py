@@ -74,22 +74,22 @@ def _relation_suite(run: _Run, rep: str, max_size: int) -> None:
     for lam in enumerate_partitions(max_size):
         qmin, qmax = fock.support_bounds(lam)
         lo, hi = qmin - 2, qmax + 2
-        vec = {lam: 1}
+        # first[i] is generator i applied to lam; every law below starts from it
+        first = {i: fock.apply_word({lam: 1}, [i], rep) for i in range(lo, hi + 1)}
         for i in range(lo, hi + 1):
             run.check(
-                fock.apply_word(vec, [i, i], rep) == {},
+                fock.apply_word(first[i], [i], rep) == {},
                 law="square-zero", rep=rep, partition=list(lam), i=i,
             )
             for pm in (1, -1):
                 run.check(
-                    fock.apply_word(vec, [i, i + pm, i], rep)
-                    == fock.apply_word(vec, [i], rep),
+                    fock.apply_word(first[i], [i, i + pm], rep) == first[i],
                     law="contraction", rep=rep, partition=list(lam), i=i, pm=pm,
                 )
             for j in range(i + 2, hi + 1):
                 run.check(
-                    fock.apply_word(vec, [i, j], rep)
-                    == fock.apply_word(vec, [j, i], rep),
+                    fock.apply_word(first[j], [i], rep)
+                    == fock.apply_word(first[i], [j], rep),
                     law="far-commutation", rep=rep, partition=list(lam), i=i, j=j,
                 )
 
@@ -248,7 +248,8 @@ def _suite_lemaddq(run, max_size, window, rng):
             applicable += 1
             if not report["pass"]:
                 run.failures.append({"law": "d-set-surgery", **report})
-    run.check(applicable > 0, law="surgery-cases-exist", max_size=max_size)
+    if max_size >= 1:  # the empty partition alone has no surgery case
+        run.check(applicable > 0, law="surgery-cases-exist", max_size=max_size)
 
 
 def _suite_ideals(run, max_size, window, rng):

@@ -122,6 +122,14 @@ def test_tensor_corrupt_cache(capsys, tmp_path, text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_tensor_unwritable_cache(capsys, tmp_path):
+    cache = tmp_path / "missing" / "rows.json"
+    code, out, err = run_cli(capsys, "tensor", "--partition", "3,3",
+                             "--cache", str(cache))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cell_example(capsys):
     payload = check(capsys, "cell", "cell", "--partition", "2")
     assert payload["cell"] == 1 and payload["block"] == 0
@@ -215,6 +223,13 @@ def test_verify_window_zero(capsys, suite):
     assert json.loads(out)["failures"] == []
 
 
+@pytest.mark.parametrize("suite", ["lemaddq", "all"])
+def test_verify_max_size_zero(capsys, suite):
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--max-size", "0")
+    assert code == 0
+    assert json.loads(out)["failures"] == []
+
+
 def test_exit_codes(capsys, monkeypatch):
     assert run_cli(capsys, "normalize", "--word", "0")[0] == 0
     # 1 (verification failures) is covered by test_verify_exit_code_on_failure
@@ -228,6 +243,23 @@ def test_exit_codes(capsys, monkeypatch):
         ["verify", "--suite", "all", "--max-size", "-3"],
         ["verify", "--suite", "faithfulness", "--window", "-1"],
         ["cell", "--partition", "2", "--ideals-up-to", "-3"],
+        # only JSON integers are parts, interval ends and coefficients
+        ["act", "--rep", "xi-prime", "--word", "1",
+         "--vector", '[{"partition":[1],"coeff":2.7}]'],
+        ["act", "--rep", "xi-prime", "--word", "1",
+         "--vector", '[{"partition":[1],"coeff":0.5}]'],
+        ["act", "--rep", "xi", "--word", "1",
+         "--vector", '[{"partition":[1],"coeff":true}]'],
+        ["act", "--rep", "xi", "--word", "1",
+         "--vector", '[{"partition":[1.9],"coeff":1}]'],
+        ["act", "--rep", "xi", "--word", "1",
+         "--vector", '[{"partition":[true],"coeff":1}]'],
+        ["act", "--rep", "xi", "--word", "1",
+         "--vector", '[{"partition":["1"],"coeff":1}]'],
+        ["witness", "--element", '[{"word":[[0,0]],"coeff":0.9}]'],
+        ["witness", "--element", '[{"word":[[0,0]],"coeff":"1"}]'],
+        ["witness", "--element", '[{"word":[[0,0.0]],"coeff":1}]'],
+        ["witness", "--element", '[{"word":[[false,0]],"coeff":1}]'],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""

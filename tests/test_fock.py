@@ -1,5 +1,6 @@
 import pytest
 
+from peritl import fock
 from peritl.fock import (
     apply_word,
     classify_case,
@@ -42,6 +43,13 @@ def test_classify_case_total_and_exclusive():
         qmin, qmax = support_bounds(lam)
         for q in range(qmin - 3, qmax + 4):
             assert classify_case(lam, q) in "ABCDE"
+
+
+def test_classify_case_raises_on_a_double_match(monkeypatch):
+    # (), 0 is case A; a planted removable 0-box makes it match B as well
+    monkeypatch.setattr(fock, "remove_box", lambda lam, q: ())
+    with pytest.raises(RuntimeError, match=r"matched \['A', 'B'\]"):
+        classify_case((), 0)
 
 
 def test_xi_examples():

@@ -4,7 +4,7 @@ import inspect
 import pytest
 
 import peritl
-from peritl import cli
+from peritl import cli, fock
 from peritl.verify import SUITE_NAMES, run_suite
 
 
@@ -64,3 +64,21 @@ def test_verify_all_touches_every_operation():
 def test_operation_coverage_reports_a_miss():
     missed = missed_operations("marking")
     assert "tl.normalize" in missed and "cli.cmd_witness" in missed
+
+
+def test_relation_laws_catch_a_planted_fault(monkeypatch):
+    # send (1,) to (1, 1) under the index-1 generator; the true image is (2,)
+    true_xi = fock.xi_on_partition
+
+    def planted(lam, q):
+        return (1, 1) if (lam, q) == ((1,), 1) else true_xi(lam, q)
+
+    monkeypatch.setattr(fock, "xi_on_partition", planted)
+    report = run_suite("tl-relations", 4, 3, 0)
+    assert report.failures == [
+        {"law": "far-commutation", "rep": "xi", "partition": [1], "i": -2, "j": 1},
+        {"law": "far-commutation", "rep": "xi", "partition": [1], "i": -1, "j": 1},
+        {"law": "square-zero", "rep": "xi", "partition": [1], "i": 1},
+        {"law": "contraction", "rep": "xi", "partition": [1], "i": 1, "pm": 1},
+        {"law": "contraction", "rep": "xi", "partition": [3], "i": 1, "pm": -1},
+    ]
