@@ -292,31 +292,29 @@ def minimal_balanced_hook_ending(lam: Partition, q: int) -> Optional[RimHook]:
 
 
 def two_core(lam: Partition) -> tuple[Partition, int]:
-    """Strip rim 2-hooks (dominoes) until none remains.
+    """The 2-core (what remains once no domino can be removed) and its index.
 
-    The result never depends on the removal order; for determinism of the
-    intermediate states the domino of largest start content is removed first.
-    The core is always a staircase, returned together with its index.
+    On a 2-runner abacus the beads sit at b_i = lam_i + (n - 1 - i), with
+    n = len(lam).  Removing a domino moves one bead two places down its
+    runner, so the core pushes all beads down: with o odd beads, its beta-set
+    is {0, 2, ..., 2(n - o - 1)} together with {1, 3, ..., 2o - 1}.  Read
+    decreasingly as beta_0 > beta_1 > ..., part i of the core is
+    beta_i - (n - 1 - i); zero parts are dropped.  The core is always a
+    staircase, returned together with its index.
 
     >>> two_core((3, 1))
     ((), 0)
     >>> two_core((3, 2, 1))
     ((3, 2, 1), 3)
     """
-    cur = lam
-    while True:
-        hook = None
-        for c in range(cur[0] - 2 if cur else -1, -len(cur) - 1, -1):
-            hook = rim_hook(cur, c, c + 1)
-            if hook is not None:
-                break
-        if hook is None:
-            break
-        cur = delete_hook(cur, hook)
-    k = len(cur)
-    if cur != staircase(k):
-        raise RuntimeError(f"domino-free partition {cur} is not a staircase")
-    return cur, k
+    n = len(lam)
+    odd = sum((p + n - 1 - i) % 2 for i, p in enumerate(lam))
+    beta = sorted([*range(0, 2 * (n - odd), 2), *range(1, 2 * odd, 2)], reverse=True)
+    core = tuple(b - (n - 1 - i) for i, b in enumerate(beta) if b > n - 1 - i)
+    k = len(core)
+    if core != staircase(k):
+        raise RuntimeError(f"2-core {core} of {lam} is not a staircase")
+    return core, k
 
 
 def transpose(lam: Partition) -> Partition:

@@ -409,34 +409,20 @@ def element_from_json(data) -> TLElement:
 # faithfulness machinery
 
 
-def minimal_part(w: FcsWord, lam: Partition, *, full: bool = False) -> Optional[Partition]:
+def minimal_part(w: FcsWord, lam: Partition) -> Optional[Partition]:
     """The size |lam| - len(w) part of the plain action of the monomial on lam.
 
     That part is always zero or a single partition with coefficient one.
     Terms reach the bottom size only by removing a box at every step, and
-    box removal at a fixed content is single-valued, so by default the
-    bottom sector is evolved directly as a chain of at most one partition.
-    With full=True the whole vector is evolved instead and the shape of the
-    bottom sector is asserted; both routes are cross-checked in the tests.
+    box removal at a fixed content is single-valued, so the bottom sector is
+    evolved directly as a chain of at most one partition.
 
     >>> minimal_part(((0, 0),), (1, 1))
     (1,)
     >>> minimal_part(((0, 0),), (2, 2)) is None
     True
     """
-    word = fcs_to_word(w)
-    if full:
-        vec = apply_word({lam: 1}, word, "xi-prime")
-        target = sum(lam) - len(word)
-        terms = {mu: c for mu, c in vec.items() if sum(mu) == target}
-        if not terms:
-            return None
-        if len(terms) > 1 or any(c != 1 for c in terms.values()):
-            raise RuntimeError(
-                f"bottom sector of {w} on {lam} is not a single unit term: {terms}"
-            )
-        return next(iter(terms))
-    return bottom_sector(word, lam)
+    return bottom_sector(fcs_to_word(w), lam)
 
 
 def bottom_sector(word: tuple[int, ...], lam: Partition) -> Optional[Partition]:

@@ -7,20 +7,15 @@ partition, the set of their contents shifted down by one (the d-set) is an
 n-subset of the integers, and subtracting the staircase (n-1, n-2, ..., 0)
 from the decreasingly sorted d-set yields a dominant weight for the rank-n
 periplectic Lie superalgebra.  On each cell stratum the d-set map is a
-bijection onto n-subsets, inverted here by search.
+bijection onto n-subsets; `partition_from_d_set` constructs its inverse
+row by row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .partitions import (
-    Box,
-    Partition,
-    add_box,
-    enumerate_partitions,
-    transpose,
-)
+from .partitions import Box, Partition, add_box, transpose
 from .strata import cell_index
 
 DominantWeight = tuple[int, ...]
@@ -92,6 +87,17 @@ def d_set(lam: Partition) -> set[int]:
     return {c - 1 for c in marking(lam).contents}
 
 
+def _decreasing_subset(subset: Iterable[int], n: int) -> list[int]:
+    """The values of an n-subset of the integers, sorted decreasingly."""
+    values = set(subset)
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"subset values must be integers, got {v!r}")
+    if len(values) != n:
+        raise ValueError(f"need exactly {n} distinct values, got {sorted(values)}")
+    return sorted(values, reverse=True)
+
+
 def weight_from_subset(subset: Iterable[int], n: int) -> DominantWeight:
     """Decode an n-subset of the integers as a dominant weight.
 
@@ -103,9 +109,7 @@ def weight_from_subset(subset: Iterable[int], n: int) -> DominantWeight:
     >>> weight_from_subset({-4, -1}, 2)
     (-2, -4)
     """
-    s = sorted(set(subset), reverse=True)
-    if len(s) != n:
-        raise ValueError(f"need exactly {n} distinct values, got {s}")
+    s = _decreasing_subset(subset, n)
     omega = tuple(s[i] - (n - i - 1) for i in range(n))
     for i in range(n - 1):
         if omega[i] < omega[i + 1]:
@@ -127,18 +131,20 @@ def dominant_weight(lam: Partition) -> tuple[int, DominantWeight]:
     return len(s), weight_from_subset(s, len(s))
 
 
-class SearchBudgetExceeded(RuntimeError):
-    """Raised when the d-set inversion search exhausts its size cap."""
-
-
-def partition_from_d_set(subset: Iterable[int], n: int, max_boxes: Optional[int] = None) -> Partition:
+def partition_from_d_set(subset: Iterable[int], n: int) -> Partition:
     """The unique partition of cell index n with the given d-set.
 
-    Found by scanning partitions in canonical order inside a provable box:
-    the top mark bounds the first row by max(n, max(S)+2) and the bottom
-    mark sits in the last row, bounding the number of rows by
-    first row - min(S) - 1.  Exhausting the cap raises SearchBudgetExceeded
-    rather than ever returning a wrong answer.
+    Write the d-set decreasingly as d_n > ... > d_1, so that d_m is the
+    shifted content of the m-th diamond of the bottom-up marking.  Every
+    unmarked row above the m-th diamond and below the (m+1)-th holds exactly
+    m boxes: at least m because the m-th marked row below it does, at most
+    m because it gets no diamond once m are placed.  So the rows are built
+    top-down for m = n, ..., 1: with r rows placed so far, the m-th marked
+    row lies e rows further down and has length d_m + 2 + r + e.  When e > 0
+    that length is m, so e = m - 2 - d_m - r; otherwise the row has length
+    d_m + 2 + r, which is at least m.  Hence append max(0, m - 2 - d_m - r)
+    rows of length m, then the marked row of length max(m, d_m + 2 + r).
+    Every step is forced, so each n-subset has exactly this preimage.
 
     >>> partition_from_d_set({-3}, 1)
     (1, 1, 1)
@@ -146,26 +152,19 @@ def partition_from_d_set(subset: Iterable[int], n: int, max_boxes: Optional[int]
     (2,)
     >>> partition_from_d_set({1}, 1)
     (3,)
+    >>> partition_from_d_set({-4, -1}, 2)
+    (2, 2, 1, 1)
     """
-    target = set(subset)
-    if len(target) != n:
-        raise ValueError(f"need exactly {n} distinct values, got {sorted(target)}")
-    if n == 0:
-        if target:
-            raise ValueError("rank 0 takes the empty subset only")
-        return ()
-    max_cols = max(n, max(target) + 2)
-    max_rows = max_cols - min(target) - 1
-    if max_boxes is None:
-        max_boxes = max_cols * max_rows
-    for lam in enumerate_partitions(max_boxes):
-        if not lam or lam[0] > max_cols or len(lam) > max_rows:
-            continue
-        if d_set(lam) == target and cell_index(lam) == n:
-            return lam
-    raise SearchBudgetExceeded(
-        f"no partition with d-set {sorted(target)} within {max_boxes} boxes"
-    )
+    target = _decreasing_subset(subset, n)
+    rows: list[int] = []
+    for m, d in zip(range(n, 0, -1), target):
+        r = len(rows)
+        rows += [m] * max(0, m - 2 - d - r)
+        rows.append(max(m, d + 2 + r))
+    lam = tuple(rows)
+    if d_set(lam) != set(target) or cell_index(lam) != n:
+        raise RuntimeError(f"constructed {lam} does not invert d-set {target} at rank {n}")
+    return lam
 
 
 def closed_form_weight(lam: Partition) -> Optional[DominantWeight]:

@@ -3,14 +3,28 @@
 The partition oracles work on raw sets of (row, col) boxes, deliberately
 sharing no code with the library's row-length representation.  The
 normal-form oracle is an exhaustive search over the library's planar
-diagrams, sharing no code with the insertion algorithm of `normalize`.
+diagrams, sharing no code with the insertion algorithm of `normalize`.  The
+d-set search, the domino-stripping loop and the full-vector bottom sector
+are the library's earlier algorithms, kept as references for the direct
+constructions that replaced them.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
-from peritl.partitions import Partition, enumerate_partitions
-from peritl.tl import IDENTITY, diagram_product, interval_diagram
+from hypothesis import strategies as st
+
+from peritl.fock import apply_word
+from peritl.partitions import (
+    Partition,
+    delete_hook,
+    enumerate_partitions,
+    rim_hook,
+    staircase,
+)
+from peritl.strata import cell_index
+from peritl.tl import IDENTITY, diagram_product, fcs_to_word, interval_diagram
+from peritl.weights import d_set
 
 # Widest generator window the normal-form oracle searches: its table for a
 # window of width w holds Catalan(w+1) diagrams (4862 at 8).
@@ -146,6 +160,18 @@ def oracle_xi(lam: Partition, q: int) -> Partition | None:
     return partition_of_boxes(boxes - skew)
 
 
+@st.composite
+def mid_partitions(draw) -> Partition:
+    """A partition of 30-200 boxes, beyond the reach of exhaustive sweeps."""
+    left = draw(st.integers(30, 200))
+    cap = draw(st.integers(1, left))
+    parts = []
+    while left:
+        parts.append(draw(st.integers(1, min(cap, left))))
+        left -= parts[-1]
+    return tuple(sorted(parts, reverse=True))
+
+
 def partition_count(n: int) -> int:
     """Number of partitions of n, via the independent two-variable recursion."""
     table = [[0] * (n + 1) for _ in range(n + 1)]
@@ -177,3 +203,51 @@ def oracle_normal_forms(lo: int, hi: int) -> dict:
 
     rec((), IDENTITY, hi + 2, hi + 2)
     return index
+
+
+def oracle_partition_from_d_set(subset, n: int) -> Partition:
+    """Invert the d-set map by scanning partitions in canonical order inside
+    a provable box: the top mark bounds the first row by max(n, max(S)+2)
+    and the bottom mark sits in the last row, bounding the number of rows by
+    first row - min(S) - 1."""
+    target = set(subset)
+    assert len(target) == n
+    if n == 0:
+        return ()
+    max_cols = max(n, max(target) + 2)
+    max_rows = max_cols - min(target) - 1
+    for lam in enumerate_partitions(max_cols * max_rows):
+        if not lam or lam[0] > max_cols or len(lam) > max_rows:
+            continue
+        if d_set(lam) == target and cell_index(lam) == n:
+            return lam
+    raise AssertionError(f"no partition with d-set {sorted(target)} at rank {n}")
+
+
+def oracle_two_core(lam: Partition) -> tuple[Partition, int]:
+    """Strip dominoes, largest start content first, until none remains."""
+    cur = lam
+    while True:
+        hook = None
+        for c in range(cur[0] - 2 if cur else -1, -len(cur) - 1, -1):
+            hook = rim_hook(cur, c, c + 1)
+            if hook is not None:
+                break
+        if hook is None:
+            break
+        cur = delete_hook(cur, hook)
+    assert cur == staircase(len(cur)), cur
+    return cur, len(cur)
+
+
+def oracle_minimal_part(w, lam: Partition) -> Partition | None:
+    """Evolve the whole vector under the monomial and read off its bottom
+    sector, asserting that it is zero or a single unit term."""
+    word = fcs_to_word(w)
+    vec = apply_word({lam: 1}, word, "xi-prime")
+    target = sum(lam) - len(word)
+    terms = {mu: c for mu, c in vec.items() if sum(mu) == target}
+    if not terms:
+        return None
+    assert len(terms) == 1 and set(terms.values()) == {1}, terms
+    return next(iter(terms))

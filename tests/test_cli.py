@@ -1,7 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -196,6 +198,17 @@ def test_verify_command(capsys):
     assert payload["suite"] == "marking"
     assert payload["failures"] == []
     assert "elapsed_seconds" not in payload
+
+
+def test_verify_stdout_matches_pinned_digest(capsys):
+    # the benchmark pins the full `verify --suite all` stdout per seed
+    pinned = Path(__file__).resolve().parents[1] / "bench" / "verify_expected.json"
+    expected = json.loads(pinned.read_text())["seeds"]["0"]
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-size", "10",
+                           "--window", "3", "--seed", "0")
+    assert code == 0
+    assert json.loads(out)["checked"] == expected["checked"]
+    assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

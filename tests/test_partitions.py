@@ -24,9 +24,11 @@ from peritl.partitions import (
 
 from helpers import (
     boxes_of,
+    mid_partitions,
     oracle_addable,
     oracle_removable,
     oracle_rim_hooks,
+    oracle_two_core,
     partition_count,
     partition_of_boxes,
 )
@@ -92,13 +94,7 @@ def test_corner_boxes_against_box_set_oracle():
 @st.composite
 def mid_partition_and_content(draw):
     """A partition of 30-200 boxes and a content near it or far outside it."""
-    left = draw(st.integers(30, 200))
-    cap = draw(st.integers(1, left))
-    parts = []
-    while left:
-        parts.append(draw(st.integers(1, min(cap, left))))
-        left -= parts[-1]
-    lam = tuple(sorted(parts, reverse=True))
+    lam = draw(mid_partitions())
     near = st.integers(-len(lam) - 3, lam[0] + 3)
     return lam, draw(st.one_of(near, st.integers(-10**6, 10**6)))
 
@@ -224,6 +220,17 @@ def test_two_core_examples():
     assert two_core((3, 1)) == ((), 0)
     assert two_core((3, 2, 1)) == ((3, 2, 1), 3)
     assert two_core(()) == ((), 0)
+
+
+def test_two_core_matches_domino_oracle():
+    for lam in enumerate_partitions(16):
+        assert two_core(lam) == oracle_two_core(lam), lam
+
+
+@given(mid_partitions())
+@settings(max_examples=100, deadline=None)
+def test_two_core_matches_domino_oracle_mid_scale(lam):
+    assert two_core(lam) == oracle_two_core(lam)
 
 
 def test_two_core_order_independence():

@@ -28,7 +28,7 @@ from peritl.tl import (
     word_to_diagram,
 )
 
-from helpers import ORACLE_MAX_WIDTH, oracle_normal_forms
+from helpers import ORACLE_MAX_WIDTH, oracle_minimal_part, oracle_normal_forms
 
 
 def catalan(n):
@@ -272,7 +272,7 @@ def test_minimal_part_dual_route():
     words = [w for w in fcs_words_in_range(-2, 2, 4)]
     for w in words:
         for lam in enumerate_partitions(7):
-            assert minimal_part(w, lam) == minimal_part(w, lam, full=True)
+            assert minimal_part(w, lam) == oracle_minimal_part(w, lam)
 
 
 def _row_removal_oracle(w, lam):

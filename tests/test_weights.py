@@ -1,10 +1,12 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
 
 from peritl.fock import support_bounds
-from peritl.partitions import enumerate_partitions, staircase
+from peritl.partitions import check_partition, enumerate_partitions, staircase
 from peritl.strata import cell_index
 from peritl.weights import (
-    SearchBudgetExceeded,
     check_box_addition_surgery,
     closed_form_weight,
     d_set,
@@ -14,6 +16,8 @@ from peritl.weights import (
     partition_from_d_set,
     weight_from_subset,
 )
+
+from helpers import mid_partitions, oracle_partition_from_d_set
 
 # the six reference marked diagrams, bottom row first
 REFERENCE = {
@@ -87,22 +91,39 @@ def test_partition_from_d_set_examples():
     assert partition_from_d_set({0}, 1) == (2,)
     assert partition_from_d_set({-3}, 1) == (1, 1, 1)
     assert partition_from_d_set({1}, 1) == (3,)
+    assert partition_from_d_set({-4, -1}, 2) == (2, 2, 1, 1)
     assert partition_from_d_set(set(), 0) == ()
-    for n in range(1, 7):
+    for n in (*range(1, 7), 200):
         assert partition_from_d_set(d_set(staircase(n)), n) == staircase(n)
     with pytest.raises(ValueError):
         partition_from_d_set({1, 2}, 1)
 
 
-def test_partition_from_d_set_budget():
-    with pytest.raises(SearchBudgetExceeded):
-        partition_from_d_set({0, 1}, 2, max_boxes=1)
+@pytest.mark.parametrize("decode", [partition_from_d_set, weight_from_subset])
+@pytest.mark.parametrize("subset", [{0.5}, {True}, {1.0}, {"1"}, {0, 2.5}])
+def test_non_integer_values_rejected(decode, subset):
+    with pytest.raises(ValueError):
+        decode(subset, len(subset))
 
 
 def test_d_roundtrip():
-    for lam in enumerate_partitions(12):
-        n = cell_index(lam)
-        assert partition_from_d_set(d_set(lam), n) == lam
+    for lam in enumerate_partitions(14):
+        d, n = d_set(lam), cell_index(lam)
+        assert partition_from_d_set(d, n) == oracle_partition_from_d_set(d, n) == lam
+
+
+def test_inverse_reaches_every_subset():
+    for n in range(5):
+        for subset in combinations(range(-7, 6), n):
+            lam = check_partition(partition_from_d_set(subset, n))
+            assert d_set(lam) == set(subset) and cell_index(lam) == n, subset
+
+
+@given(mid_partitions())
+@settings(max_examples=150, deadline=None)
+def test_d_roundtrip_mid_scale(lam):
+    n = cell_index(lam)
+    assert partition_from_d_set(d_set(lam), n) == lam
 
 
 def test_closed_form_weight_examples():
