@@ -376,7 +376,7 @@ def main(argv=None) -> int:
                 _nonnegative(args.window, "--window"),
                 args.seed,
             )
-            _emit(report.to_json_dict(include_timing=False))
+            _emit(report.to_json_dict())
             sys.stderr.write(
                 f"suite {report.suite}: {report.checked} checks, "
                 f"{len(report.failures)} failures, {report.elapsed:.2f}s\n"

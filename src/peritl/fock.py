@@ -259,6 +259,8 @@ def vector_from_json(data) -> FockVector:
     """Parse the serialization produced by `vector_to_json`."""
     from .partitions import check_partition
 
+    if not isinstance(data, list):
+        raise ValueError(f"a vector is a JSON list of terms, not {type(data).__name__}")
     vec: FockVector = {}
     for term in data:
         lam = check_partition(term["partition"])

@@ -1,9 +1,10 @@
 """Stratification of partitions by staircase containment.
 
 The k-th ideal consists of the partitions containing the staircase
-(k, k-1, ..., 1); the cell index of a partition is the largest such k, and
-the block index is the size of its 2-core staircase.  Label sets for tensor
-powers and the summand predicates live here too.
+(k, k-1, ..., 1).  The ideals shrink as k grows, so membership is the
+threshold k <= cell index, the largest such k, read off the rows in one
+pass; the block index is the size of the 2-core staircase.  Label sets for
+tensor powers and the summand predicates live here too.
 """
 from __future__ import annotations
 
@@ -16,13 +17,15 @@ from .partitions import (
     contains,
     enumerate_partitions,
     partitions_of,
-    staircase,
     two_core,
 )
 
 
 def cell_index(lam: Partition) -> int:
     """The unique k with staircase(k) inside lam but staircase(k+1) not.
+
+    Rows counted from 0, staircase(k) fits iff k <= len(lam) and k <= lam[i] + i
+    for every i (rows i >= k pass anyway), so k is the least of these bounds.
 
     >>> cell_index(())
     0
@@ -31,9 +34,10 @@ def cell_index(lam: Partition) -> int:
     >>> cell_index((3, 2, 2, 2))
     3
     """
-    k = 0
-    while contains(lam, staircase(k + 1)):
-        k += 1
+    k = len(lam)
+    for i, part in enumerate(lam):
+        if part + i < k:
+            k = part + i
     return k
 
 
@@ -50,7 +54,9 @@ def in_ideal(lam: Partition, k: int) -> bool:
     >>> in_ideal((2,), 2)
     False
     """
-    return contains(lam, staircase(k))
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return k <= cell_index(lam)
 
 
 def quasi_order_compare(lam: Partition, mu: Partition) -> str:
@@ -138,27 +144,20 @@ def box_addition_path(start: Partition, target: Partition) -> list[tuple[Partiti
 
     Returns the list of (partition, content) steps, where each step adds the
     box of the recorded content to the recorded partition; applying them in
-    order reaches target.  Raises if start does not fit inside target.
+    order reaches target.  Rows fill from the top, each left to right, so
+    every box is addable in turn.  Raises if start does not fit in target.
     """
     if not contains(target, start):
         raise ValueError(f"{start} is not contained in {target}")
     path = []
     cur = start
-    while cur != target:
-        rows = len(target)
-        step = None
-        for i in range(1, rows + 1):
-            have = cur[i - 1] if i <= len(cur) else 0
-            if have < target[i - 1]:
-                step = (i, have + 1)
-                break
-        i, j = step
-        q = j - i
-        nxt = add_box(cur, q)
-        if nxt is None:
-            raise RuntimeError(f"no addable box of content {q} on {cur}")
-        path.append((cur, q))
-        cur = nxt
+    for i, want in enumerate(target):
+        for j in range(start[i] if i < len(start) else 0, want):
+            nxt = add_box(cur, j - i)
+            if nxt is None:
+                raise RuntimeError(f"no addable box of content {j - i} on {cur}")
+            path.append((cur, j - i))
+            cur = nxt
     return path
 
 
@@ -189,9 +188,7 @@ def stratum_report(lam: Partition, ideal_ks=None) -> StratumReport:
     cell = cell_index(lam)
     if ideal_ks is None:
         ideal_ks = range(cell + 2)
-    return StratumReport(
-        partition=lam,
-        cell=cell,
-        block=block_index(lam),
-        ideals={k: in_ideal(lam, k) for k in ideal_ks},
-    )
+    ideals = {k: k <= cell for k in ideal_ks}
+    if min(ideals, default=0) < 0:
+        raise ValueError("k must be nonnegative")
+    return StratumReport(partition=lam, cell=cell, block=block_index(lam), ideals=ideals)

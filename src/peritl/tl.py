@@ -392,6 +392,8 @@ def element_to_json(x: TLElement) -> list[dict]:
 
 
 def element_from_json(data) -> TLElement:
+    if not isinstance(data, list):
+        raise ValueError(f"an element is a JSON list of terms, not {type(data).__name__}")
     out: TLElement = {}
     for term in data:
         w = check_fcs_word(term["word"])

@@ -15,6 +15,7 @@ from . import fock, strata, tl, weights
 from .partitions import (
     add_box,
     addable_contents,
+    contains,
     enumerate_partitions,
     remove_box,
     removable_contents,
@@ -44,16 +45,13 @@ class VerifyReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "suite": self.suite,
             "parameters": self.parameters,
             "checked": self.checked,
             "failures": self.failures,
         }
-        if include_timing:
-            out["elapsed_seconds"] = self.elapsed
-        return out
 
 
 class _Run:
@@ -262,15 +260,16 @@ def _suite_ideals(run, max_size, window, rng):
         run.check(
             strata.cell_index(staircase(k)) == k, law="staircase-cell", k=k,
         )
+    # in_ideal is a threshold on cell_index: check both against containment
     for lam in enumerate_partitions(max_size):
         for k in range(5):
             run.check(
-                (not strata.in_ideal(lam, k + 1)) or strata.in_ideal(lam, k),
+                (not strata.in_ideal(lam, k + 1)) or contains(lam, staircase(k)),
                 law="ideal-chain", partition=list(lam), k=k,
             )
         cell = strata.cell_index(lam)
         run.check(
-            strata.in_ideal(lam, cell) and not strata.in_ideal(lam, cell + 1),
+            contains(lam, staircase(cell)) and not contains(lam, staircase(cell + 1)),
             law="cell-index-consistency", partition=list(lam),
         )
         block = strata.block_index(lam)

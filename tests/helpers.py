@@ -4,19 +4,25 @@ The partition oracles work on raw sets of (row, col) boxes, deliberately
 sharing no code with the library's row-length representation.  The
 normal-form oracle is an exhaustive search over the library's planar
 diagrams, sharing no code with the insertion algorithm of `normalize`.  The
-d-set search, the domino-stripping loop and the full-vector bottom sector
-are the library's earlier algorithms, kept as references for the direct
+d-set search, the domino-stripping loop, the full-vector bottom sector, the
+staircase-by-staircase cell index and the rescanning box-addition path are
+the library's earlier algorithms, kept as references for the direct
 constructions that replaced them.
 """
 from __future__ import annotations
 
+import os
 from functools import lru_cache
+from pathlib import Path
 
 from hypothesis import strategies as st
 
+import peritl
 from peritl.fock import apply_word
 from peritl.partitions import (
     Partition,
+    add_box,
+    contains,
     delete_hook,
     enumerate_partitions,
     rim_hook,
@@ -25,6 +31,14 @@ from peritl.partitions import (
 from peritl.strata import cell_index
 from peritl.tl import IDENTITY, diagram_product, fcs_to_word, interval_diagram
 from peritl.weights import d_set
+
+def child_env() -> dict:
+    """The environment for a `python -m peritl` child process: the package the
+    tests imported comes first on its path, installed or not."""
+    src = str(Path(peritl.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
 
 # Widest generator window the normal-form oracle searches: its table for a
 # window of width w holds Catalan(w+1) diagrams (4862 at 8).
@@ -161,9 +175,10 @@ def oracle_xi(lam: Partition, q: int) -> Partition | None:
 
 
 @st.composite
-def mid_partitions(draw) -> Partition:
-    """A partition of 30-200 boxes, beyond the reach of exhaustive sweeps."""
-    left = draw(st.integers(30, 200))
+def mid_partitions(draw, max_boxes: int = 200) -> Partition:
+    """A partition of 30-max_boxes boxes, beyond the reach of exhaustive
+    sweeps."""
+    left = draw(st.integers(30, max_boxes))
     cap = draw(st.integers(1, left))
     parts = []
     while left:
@@ -251,3 +266,35 @@ def oracle_minimal_part(w, lam: Partition) -> Partition | None:
         return None
     assert len(terms) == 1 and set(terms.values()) == {1}, terms
     return next(iter(terms))
+
+
+def oracle_cell_index(lam: Partition) -> int:
+    """The largest k with staircase(k) inside lam, trying k = 1, 2, ..."""
+    k = 0
+    while contains(lam, staircase(k + 1)):
+        k += 1
+    return k
+
+
+def oracle_box_addition_path(start: Partition, target: Partition) -> list:
+    """Single-box additions from start to target, each time adding the box
+    after the end of the first row of the current partition that is shorter
+    than in target."""
+    assert contains(target, start)
+    path = []
+    cur = start
+    while cur != target:
+        rows = len(target)
+        step = None
+        for i in range(1, rows + 1):
+            have = cur[i - 1] if i <= len(cur) else 0
+            if have < target[i - 1]:
+                step = (i, have + 1)
+                break
+        i, j = step
+        q = j - i
+        nxt = add_box(cur, q)
+        assert nxt is not None, (cur, q)
+        path.append((cur, q))
+        cur = nxt
+    return path

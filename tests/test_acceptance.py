@@ -54,7 +54,7 @@ from peritl.weights import (
     partition_from_d_set,
 )
 
-from helpers import oracle_min_balanced, oracle_xi
+from helpers import child_env, oracle_min_balanced, oracle_xi
 
 
 def criterion(number, summary):
@@ -303,11 +303,11 @@ def test_criterion_11():
     argv = [sys.executable, "-m", "peritl", "verify", "--suite", "all",
             "--max-size", "10", "--seed", "0"]
     start = time.perf_counter()
-    first = subprocess.run(argv, capture_output=True, check=False)
+    first = subprocess.run(argv, capture_output=True, check=False, env=child_env())
     elapsed = time.perf_counter() - start
     assert first.returncode == 0, first.stderr.decode()[-500:]
     assert elapsed < 300
-    second = subprocess.run(argv, capture_output=True, check=False)
+    second = subprocess.run(argv, capture_output=True, check=False, env=child_env())
     assert second.returncode == 0
     assert first.stdout == second.stdout
     report = json.loads(first.stdout)

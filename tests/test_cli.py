@@ -10,6 +10,8 @@ import pytest
 
 from peritl import cli
 
+from helpers import child_env
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -273,6 +275,9 @@ def test_exit_codes(capsys, monkeypatch):
         ["witness", "--element", '[{"word":[[0,0]],"coeff":"1"}]'],
         ["witness", "--element", '[{"word":[[0,0.0]],"coeff":1}]'],
         ["witness", "--element", '[{"word":[[false,0]],"coeff":1}]'],
+        # a vector or an element is a JSON list of terms
+        ["act", "--rep", "xi", "--word", "1", "--vector", "{}"],
+        ["witness", "--element", "{}"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
@@ -320,7 +325,7 @@ def test_stdout_byte_determinism():
         runs = [
             subprocess.run(
                 [sys.executable, "-m", "peritl", *argv],
-                capture_output=True, check=False,
+                capture_output=True, check=False, env=child_env(),
             )
             for _ in range(2)
         ]

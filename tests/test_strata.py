@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peritl.fock import support_bounds, xi_on_partition
-from peritl.partitions import enumerate_partitions, staircase
+from peritl.partitions import Partition, contains, enumerate_partitions, staircase
 from peritl.strata import (
     block_index,
     box_addition_path,
@@ -13,6 +14,12 @@ from peritl.strata import (
     quasi_order_compare,
     stratum_report,
     summand_labels,
+)
+
+from helpers import (
+    mid_partitions,
+    oracle_box_addition_path,
+    oracle_cell_index,
 )
 
 
@@ -132,3 +139,60 @@ def test_stratum_report():
     assert wide.to_json_dict()["ideals"] == {
         "0": True, "1": True, "2": True, "3": True, "4": False,
     }
+
+
+def check_against_oracles(lam: Partition) -> None:
+    """cell_index, in_ideal, stratum_report and box_addition_path of lam
+    against staircase containment and the staircase-by-staircase and
+    rescanning oracles; the paths start at staircase(k), cell - 2 <= k <= cell."""
+    cell = cell_index(lam)
+    assert cell == oracle_cell_index(lam), lam
+    with pytest.raises(ValueError):
+        in_ideal(lam, -1)
+    for k in range(cell + 3):
+        assert in_ideal(lam, k) == contains(lam, staircase(k)), (lam, k)
+    report = stratum_report(lam, range(cell + 3))
+    assert report.cell == cell and report.block == block_index(lam)
+    assert report.ideals == {k: contains(lam, staircase(k)) for k in range(cell + 3)}
+    for k in range(max(cell - 2, 0), cell + 1):
+        base = staircase(k)
+        assert box_addition_path(base, lam) == oracle_box_addition_path(base, lam)
+
+
+def test_strata_against_oracles_exhaustive():
+    for lam in enumerate_partitions(14):
+        check_against_oracles(lam)
+
+
+def test_box_addition_path_against_oracle_for_every_start():
+    for lam in enumerate_partitions(8):
+        for mu in enumerate_partitions(sum(lam)):
+            if contains(lam, mu):
+                assert box_addition_path(mu, lam) == oracle_box_addition_path(mu, lam)
+
+
+@given(mid_partitions(1000))
+@settings(max_examples=60, deadline=None)
+def test_strata_against_oracles_mid_scale(lam):
+    check_against_oracles(lam)
+
+
+@st.composite
+def noisy_staircases(draw) -> Partition:
+    """staircase(k) for k <= 300 with every row moved by -2..2 boxes and a
+    tail of single boxes."""
+    k = draw(st.integers(0, 300))
+    rows = [max(0, k - i + draw(st.integers(-2, 2))) for i in range(k)]
+    rows += [1] * draw(st.integers(0, 5))
+    return tuple(sorted((r for r in rows if r), reverse=True))
+
+
+@given(noisy_staircases())
+@settings(max_examples=60, deadline=None)
+def test_strata_against_oracles_noisy_staircases(lam):
+    check_against_oracles(lam)
+
+
+def test_stratum_report_rejects_negative_ideals():
+    with pytest.raises(ValueError):
+        stratum_report((2, 1), range(-1, 3))

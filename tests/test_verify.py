@@ -4,7 +4,7 @@ import inspect
 import pytest
 
 import peritl
-from peritl import cli, fock
+from peritl import cli, fock, strata
 from peritl.verify import SUITE_NAMES, run_suite
 
 
@@ -27,8 +27,6 @@ def test_report_shape_and_determinism():
     assert a.to_json_dict() == b.to_json_dict()
     data = a.to_json_dict()
     assert set(data) == {"suite", "parameters", "checked", "failures"}
-    timed = a.to_json_dict(include_timing=True)
-    assert "elapsed_seconds" in timed
 
 
 def test_all_aggregates():
@@ -81,4 +79,20 @@ def test_relation_laws_catch_a_planted_fault(monkeypatch):
         {"law": "square-zero", "rep": "xi", "partition": [1], "i": 1},
         {"law": "contraction", "rep": "xi", "partition": [1], "i": 1, "pm": 1},
         {"law": "contraction", "rep": "xi", "partition": [3], "i": 1, "pm": -1},
+    ]
+
+
+@pytest.mark.parametrize("lam, shift", [((3, 1), -1), ((3, 2, 1), 1)])
+def test_ideal_laws_catch_a_planted_fault(monkeypatch, lam, shift):
+    # membership is a threshold on the cell index, so a wrong cell index
+    # must show against staircase containment
+    true_cell = strata.cell_index
+
+    def planted(mu):
+        return true_cell(mu) + (shift if mu == lam else 0)
+
+    monkeypatch.setattr(strata, "cell_index", planted)
+    report = run_suite("ideals", 6, 2, 0)
+    assert [f for f in report.failures if f["law"] == "cell-index-consistency"] == [
+        {"law": "cell-index-consistency", "partition": list(lam)},
     ]
