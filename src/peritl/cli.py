@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -30,10 +29,6 @@ from .strata import stratum_report, summand_labels
 from .tl import element_from_json, faithfulness_witness, normalize
 from .verify import SUITE_NAMES, VerifyReport, run_suite
 from .weights import dominant_weight
-
-CACHE_FORMAT = "peritl-cache"
-CACHE_VERSION = 1
-
 
 class CliError(Exception):
     """Carries the process exit code alongside the diagnostic."""
@@ -64,7 +59,8 @@ def parse_word(text: str) -> list[int]:
 def _parse_json_flag(text: str, what: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the interpreter's recursion limit
         raise CliError(2, f"bad {what} JSON: {exc}") from exc
 
 
@@ -76,12 +72,8 @@ def cmd_act(rep: str, word: list[int], vec: FockVector) -> list:
     return vector_to_json(apply_word(vec, word, rep))
 
 
-def cmd_tensor(lam: Partition, cache: Optional["RowCache"] = None) -> list:
-    if cache is not None:
-        rows = cache.tensor_row(lam)
-    else:
-        rows = tensor_rows(lam)
-    return [{"q": q, "partition": list(kappa)} for q, kappa in rows]
+def cmd_tensor(lam: Partition) -> list:
+    return [{"q": q, "partition": list(kappa)} for q, kappa in tensor_rows(lam)]
 
 
 def cmd_cell(lam: Partition, up_to: Optional[int] = None) -> dict:
@@ -204,68 +196,6 @@ def run_cli_examples() -> tuple[int, list]:
 
 
 # ---------------------------------------------------------------------------
-# optional on-disk cache for tensor rows
-
-
-class RowCache:
-    """Single-file JSON cache of tensor rows, keyed by the partition.
-
-    The header is versioned; hits are re-verified against recomputation when
-    PERITL_CACHE_VERIFY is set (the test builds set it).
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self.entries: dict[str, list] = {}
-        self.dirty = False
-        if os.path.exists(path):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    data = json.load(fh)
-            except (OSError, ValueError) as exc:
-                raise CliError(2, f"unreadable cache file {path!r}: {exc}") from exc
-            if (
-                not isinstance(data, dict)
-                or data.get("format") != CACHE_FORMAT
-                or data.get("version") != CACHE_VERSION
-                or not isinstance(data.get("entries"), dict)
-            ):
-                raise CliError(2, f"unsupported cache file {path!r}")
-            self.entries = data["entries"]
-
-    def tensor_row(self, lam: Partition) -> list[tuple[int, Partition]]:
-        key = "tensor-row:" + ",".join(map(str, lam))
-        if key in self.entries:
-            rows = [(int(q), tuple(parts)) for q, parts in self.entries[key]]
-            if os.environ.get("PERITL_CACHE_VERIFY"):
-                fresh = tensor_rows(lam)
-                if fresh != rows:
-                    raise RuntimeError(
-                        f"cache entry for {lam} disagrees with recomputation"
-                    )
-            return rows
-        rows = tensor_rows(lam)
-        self.entries[key] = [[q, list(kappa)] for q, kappa in rows]
-        self.dirty = True
-        return rows
-
-    def save(self) -> None:
-        if not self.dirty:
-            return
-        payload = {
-            "format": CACHE_FORMAT,
-            "version": CACHE_VERSION,
-            "entries": self.entries,
-        }
-        try:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
-        except OSError as exc:
-            raise CliError(2, f"cannot write cache file {self.path!r}: {exc}") from exc
-        self.dirty = False
-
-
-# ---------------------------------------------------------------------------
 # argument plumbing
 
 
@@ -292,8 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tensor",
                        help="all nonzero twisted images of a partition, by descending index")
     p.add_argument("--partition", required=True)
-    p.add_argument("--cache", default=None, metavar="PATH",
-                   help="optional on-disk cache file for tensor rows")
 
     p = sub.add_parser("cell", help="cell index, block index, and ideal memberships")
     p.add_argument("--partition", required=True)
@@ -353,11 +281,7 @@ def main(argv=None) -> int:
                     raise CliError(2, f"bad vector: {exc}") from exc
             _emit(cmd_act(args.rep, parse_word(args.word), vec))
         elif args.command == "tensor":
-            cache = RowCache(args.cache) if args.cache else None
-            rows = cmd_tensor(parse_partition(args.partition), cache)
-            if cache is not None:
-                cache.save()
-            _emit(rows)
+            _emit(cmd_tensor(parse_partition(args.partition)))
         elif args.command == "cell":
             up_to = _nonnegative(args.ideals_up_to, "--ideals-up-to")
             _emit(cmd_cell(parse_partition(args.partition), up_to))

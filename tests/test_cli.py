@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -88,50 +90,13 @@ def test_tensor_examples(capsys):
     assert {"q": -1, "partition": [2, 1]} in payload
 
 
-def test_tensor_cache(capsys, tmp_path, monkeypatch):
-    cache = tmp_path / "rows.json"
-    first = check(capsys, "tensor", "tensor", "--partition", "2,1",
-                  "--cache", str(cache))
-    data = json.loads(cache.read_text())
-    assert data["format"] == "peritl-cache" and data["version"] == 1
-    assert "tensor-row:2,1" in data["entries"]
-    monkeypatch.setenv("PERITL_CACHE_VERIFY", "1")
-    second = check(capsys, "tensor", "tensor", "--partition", "2,1",
-                   "--cache", str(cache))
-    assert first == second
-    # a poisoned entry is caught when verification is on, as an internal
-    # invariant violation
-    data["entries"]["tensor-row:2,1"] = [[0, [9]]]
-    cache.write_text(json.dumps(data))
-    code, out, err = run_cli(capsys, "tensor", "--partition", "2,1",
-                             "--cache", str(cache))
-    assert code == 4 and out == ""
-    assert err.startswith("error: internal invariant violated: ")
-    assert err.count("\n") == 1
-    # and a wrong version is refused
-    data["version"] = 99
-    cache.write_text(json.dumps(data))
-    code, _, err = run_cli(capsys, "tensor", "--partition", "2,1",
-                           "--cache", str(cache))
-    assert code == 2 and "unsupported cache" in err
-
-
-@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"format": "peritl-cache"}'])
-def test_tensor_corrupt_cache(capsys, tmp_path, text):
-    cache = tmp_path / "rows.json"
-    cache.write_text(text)
-    code, out, err = run_cli(capsys, "tensor", "--partition", "2,1",
-                             "--cache", str(cache))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_tensor_unwritable_cache(capsys, tmp_path):
-    cache = tmp_path / "missing" / "rows.json"
-    code, out, err = run_cli(capsys, "tensor", "--partition", "3,3",
-                             "--cache", str(cache))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+def test_tensor_has_no_cache_flag(capsys, tmp_path):
+    path = tmp_path / "rows.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tensor", "--partition", "2,1", "--cache", str(path)])
+    assert exc.value.code == 2
+    assert not path.exists()
+    capsys.readouterr()
 
 
 def test_cell_example(capsys):
@@ -278,6 +243,9 @@ def test_exit_codes(capsys, monkeypatch):
         # a vector or an element is a JSON list of terms
         ["act", "--rep", "xi", "--word", "1", "--vector", "{}"],
         ["witness", "--element", "{}"],
+        # nesting deeper than the recursion limit is malformed JSON too
+        ["act", "--rep", "xi", "--word", "1", "--vector", "[" * 5000 + "]" * 5000],
+        ["witness", "--element", "[" * 5000 + "]" * 5000],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
@@ -300,6 +268,30 @@ def test_flags_outside_their_command_are_usage_errors(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _readme_section(readme, heading):
+    body = readme.split(f"\n## {heading}\n", 1)[1]
+    return body.split("\n## ", 1)[0]
+
+
+def test_readme_names_exactly_the_parser_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = set()
+    for heading in ("Command line", "Verification suites"):
+        documented |= set(re.findall(r"--[a-z][a-z-]*", _readme_section(readme, heading)))
+    parser = cli._build_parser()
+    (commands,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    defined = {
+        flag
+        for sub in commands.choices.values()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+    assert documented == defined
 
 
 def test_unknown_suite_usage_error(capsys):

@@ -82,7 +82,21 @@ def test_relation_laws_catch_a_planted_fault(monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("lam, shift", [((3, 1), -1), ((3, 2, 1), 1)])
+# a cell index off by one on one partition, and the failures that partition
+# must then show
+PLANTED_CELL_FAULTS = {
+    ((3, 1), -1): [{"law": "cell-index-consistency", "partition": [3, 1]}],
+    ((3, 2, 1), 1): [{"law": "cell-index-consistency", "partition": [3, 2, 1]}],
+    # too high: (3, 1) is admitted to the ideal of staircase (3, 2, 1), which
+    # it does not contain, so its generation path is a failure, not a raise
+    ((3, 1), 1): [
+        {"law": "cell-index-consistency", "partition": [3, 1]},
+        {"law": "generation-path", "k": 3, "partition": [3, 1]},
+    ],
+}
+
+
+@pytest.mark.parametrize("lam, shift", list(PLANTED_CELL_FAULTS))
 def test_ideal_laws_catch_a_planted_fault(monkeypatch, lam, shift):
     # membership is a threshold on the cell index, so a wrong cell index
     # must show against staircase containment
@@ -96,3 +110,6 @@ def test_ideal_laws_catch_a_planted_fault(monkeypatch, lam, shift):
     assert [f for f in report.failures if f["law"] == "cell-index-consistency"] == [
         {"law": "cell-index-consistency", "partition": list(lam)},
     ]
+    assert [f for f in report.failures if f.get("partition") == list(lam)] == (
+        PLANTED_CELL_FAULTS[lam, shift]
+    )
