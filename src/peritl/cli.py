@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional
 
 from .fock import (
+    REPRESENTATIONS,
     FockVector,
     apply_word,
     tensor_rows,
@@ -25,10 +27,11 @@ from .fock import (
     vector_to_json,
 )
 from .partitions import Partition, check_partition
-from .strata import stratum_report, summand_labels
+from .strata import block_index, cell_index, summand_labels
 from .tl import element_from_json, faithfulness_witness, normalize
 from .verify import SUITE_NAMES, VerifyReport, run_suite
 from .weights import dominant_weight
+
 
 class CliError(Exception):
     """Carries the process exit code alongside the diagnostic."""
@@ -38,20 +41,27 @@ class CliError(Exception):
         self.code = code
 
 
+# an item of a comma list; int() alone also takes `1_0`, `+1` and non-ASCII digits
+_INTEGER = re.compile(r"\s*-?[0-9]+\s*")
+
+
+def _parse_ints(text: str) -> list[int]:
+    items = text.split(",") if text.strip() else []
+    if not all(map(_INTEGER.fullmatch, items)):
+        raise ValueError("items must be integers such as 3 or -1")
+    return [int(item) for item in items]
+
+
 def parse_partition(text: str) -> Partition:
-    if text.strip() == "":
-        return ()
     try:
-        return check_partition(int(p) for p in text.split(","))
+        return check_partition(_parse_ints(text))
     except ValueError as exc:
         raise CliError(2, f"bad partition {text!r}: {exc}") from exc
 
 
 def parse_word(text: str) -> list[int]:
-    if text.strip() == "":
-        return []
     try:
-        return [int(q) for q in text.split(",")]
+        return _parse_ints(text)
     except ValueError as exc:
         raise CliError(2, f"bad word {text!r}: {exc}") from exc
 
@@ -77,8 +87,11 @@ def cmd_tensor(lam: Partition) -> list:
 
 
 def cmd_cell(lam: Partition, up_to: Optional[int] = None) -> dict:
-    ks = None if up_to is None else range(up_to + 1)
-    return stratum_report(lam, ks).to_json_dict()
+    # ideal flags for 0..up_to, by default 0..cell+1: up to the first non-member
+    cell = cell_index(lam)
+    ks = range(cell + 2 if up_to is None else up_to + 1)
+    return {"partition": list(lam), "cell": cell, "block": block_index(lam),
+            "ideals": {str(k): k <= cell for k in ks}}
 
 
 def cmd_weight(lam: Partition) -> dict:
@@ -105,7 +118,10 @@ def cmd_witness(element_json) -> dict:
         element = element_from_json(element_json)
     except (ValueError, TypeError, KeyError) as exc:
         raise CliError(2, f"bad element: {exc}") from exc
-    pair = faithfulness_witness(element)
+    try:
+        pair = faithfulness_witness(element)
+    except OverflowError as exc:  # more letters or rows than a list can index
+        raise CliError(3, f"element too large to evaluate: {exc}") from exc
     if pair is None:
         raise CliError(3, "the zero element has no faithfulness witness")
     lam, image = pair
@@ -115,12 +131,15 @@ def cmd_witness(element_json) -> dict:
 def cmd_verify(suite: str, max_size: int, window: int, seed: int) -> VerifyReport:
     report = run_suite(suite, max_size=max_size, window=window, seed=seed)
     if suite == "all":
-        checked, failures = run_cli_examples()
-        report.checked += checked
-        report.failures.extend(failures)
+        # replay the frozen command examples; mismatches become failures
+        failed = len(report.failures)
+        for idx, (invoke, expected) in enumerate(CLI_EXAMPLES):
+            got = invoke()
+            report.check(got == expected, suite="cli-examples", law="frozen-example",
+                         index=idx, expected=expected, got=got)
+        failed = len(report.failures) - failed
         report.parameters["suites"].append(
-            {"suite": "cli-examples", "checked": checked, "failures": len(failures)}
-        )
+            {"suite": "cli-examples", "checked": len(CLI_EXAMPLES), "failures": failed})
     return report
 
 
@@ -177,24 +196,6 @@ CLI_EXAMPLES = [
 ]
 
 
-def run_cli_examples() -> tuple[int, list]:
-    """Replay the frozen command examples; mismatches become failures."""
-    failures = []
-    for idx, (invoke, expected) in enumerate(CLI_EXAMPLES):
-        got = invoke()
-        if got != expected:
-            failures.append(
-                {
-                    "suite": "cli-examples",
-                    "law": "frozen-example",
-                    "index": idx,
-                    "expected": expected,
-                    "got": got,
-                }
-            )
-    return len(CLI_EXAMPLES), failures
-
-
 # ---------------------------------------------------------------------------
 # argument plumbing
 
@@ -210,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("act", help="apply a generator word to a vector of partitions")
-    p.add_argument("--rep", choices=("xi", "xi-prime"), required=True,
+    p.add_argument("--rep", choices=REPRESENTATIONS, required=True,
                    help="xi: twisted single-image action; xi-prime: add/remove action")
     p.add_argument("--word", required=True,
                    help="comma-separated indices, rightmost applied first")

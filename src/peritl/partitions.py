@@ -35,10 +35,6 @@ def check_partition(parts: Iterable[int]) -> Partition:
     return t
 
 
-def size(lam: Partition) -> int:
-    return sum(lam)
-
-
 def box_in(lam: Partition, row: int, col: int) -> bool:
     """True iff the diagram of `lam` contains the box (row, col)."""
     return 1 <= row <= len(lam) and 1 <= col <= lam[row - 1]
@@ -187,13 +183,8 @@ class RimHook:
     """
 
     boxes: tuple[Box, ...]
-    start_content: int
-    end_content: int
     height: int
     width: int
-
-    def __len__(self) -> int:
-        return len(self.boxes)
 
     @property
     def balanced(self) -> bool:
@@ -250,8 +241,6 @@ def rim_hook(lam: Partition, c1: int, c2: int) -> Optional[RimHook]:
         return None
     return RimHook(
         boxes=boxes,
-        start_content=c1,
-        end_content=c2,
         height=len({i for (i, _) in boxes}),
         width=len({j for (_, j) in boxes}),
     )

@@ -8,8 +8,6 @@ tensor powers and the summand predicates live here too.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fock import support_bounds, xi_on_partition
 from .partitions import (
     Partition,
@@ -160,35 +158,3 @@ def box_addition_path(start: Partition, target: Partition) -> list[tuple[Partiti
             cur = nxt
     return path
 
-
-@dataclass(frozen=True)
-class StratumReport:
-    """Cell and block indices of one partition plus queried ideal flags."""
-
-    partition: Partition
-    cell: int
-    block: int
-    ideals: dict[int, bool]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "partition": list(self.partition),
-            "cell": self.cell,
-            "block": self.block,
-            "ideals": {str(k): v for k, v in sorted(self.ideals.items())},
-        }
-
-
-def stratum_report(lam: Partition, ideal_ks=None) -> StratumReport:
-    """Assemble the stratification data of one partition.
-
-    When no ideal indices are supplied, membership is reported for
-    0..cell+1, ending at the first non-member.
-    """
-    cell = cell_index(lam)
-    if ideal_ks is None:
-        ideal_ks = range(cell + 2)
-    ideals = {k: k <= cell for k in ideal_ks}
-    if min(ideals, default=0) < 0:
-        raise ValueError("k must be nonnegative")
-    return StratumReport(partition=lam, cell=cell, block=block_index(lam), ideals=ideals)

@@ -45,6 +45,12 @@ class VerifyReport:
     def ok(self) -> bool:
         return not self.failures
 
+    def check(self, ok: bool, **context) -> None:
+        """Count one check; record `context` as a failure unless `ok`."""
+        self.checked += 1
+        if not ok:
+            self.failures.append(context)
+
     def to_json_dict(self) -> dict:
         return {
             "suite": self.suite,
@@ -54,20 +60,7 @@ class VerifyReport:
         }
 
 
-class _Run:
-    """Mutable check/failure accumulator shared by the suite bodies."""
-
-    def __init__(self):
-        self.checked = 0
-        self.failures: list = []
-
-    def check(self, ok: bool, **context) -> None:
-        self.checked += 1
-        if not ok:
-            self.failures.append(context)
-
-
-def _relation_suite(run: _Run, rep: str, max_size: int) -> None:
+def _relation_suite(run: VerifyReport, rep: str, max_size: int) -> None:
     """Square-zero, far commutation, and the three-index contraction."""
     for lam in enumerate_partitions(max_size):
         qmin, qmax = fock.support_bounds(lam)
@@ -466,9 +459,10 @@ def run_suite(suite: str, max_size: int = 10, window: int = 3, seed: int = 0) ->
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     start = time.perf_counter()
     parameters = {"max_size": max_size, "window": window, "seed": seed}
+    report = VerifyReport(suite=suite, parameters=parameters)
     if suite == "all":
-        report = VerifyReport(suite="all", parameters=parameters)
         summary = []
+        report.parameters["suites"] = summary
         for name in _SUITES:
             sub = run_suite(name, max_size=max_size, window=window, seed=seed)
             report.checked += sub.checked
@@ -476,16 +470,7 @@ def run_suite(suite: str, max_size: int = 10, window: int = 3, seed: int = 0) ->
             summary.append(
                 {"suite": name, "checked": sub.checked, "failures": len(sub.failures)}
             )
-        report.parameters = {**parameters, "suites": summary}
-        report.elapsed = time.perf_counter() - start
-        return report
-    run = _Run()
-    rng = random.Random(f"{seed}:{suite}")
-    _SUITES[suite](run, max_size, window, rng)
-    return VerifyReport(
-        suite=suite,
-        parameters=parameters,
-        checked=run.checked,
-        failures=run.failures,
-        elapsed=time.perf_counter() - start,
-    )
+    else:
+        _SUITES[suite](report, max_size, window, random.Random(f"{seed}:{suite}"))
+    report.elapsed = time.perf_counter() - start
+    return report

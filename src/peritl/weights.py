@@ -32,14 +32,6 @@ class Marking:
         """Contents of the marked boxes in marking order (strictly increasing)."""
         return tuple(j - i for (i, j) in self.boxes)
 
-    def to_json_dict(self) -> dict:
-        tilde = sorted(self.contents)
-        return {
-            "boxes": [list(b) for b in self.boxes],
-            "dTilde": tilde,
-            "d": [c - 1 for c in tilde],
-        }
-
 
 def marking(lam: Partition) -> Marking:
     """Mark the diagram bottom-up: the right-most box of row i gets a diamond

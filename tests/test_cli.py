@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import re
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -246,9 +247,22 @@ def test_exit_codes(capsys, monkeypatch):
         # nesting deeper than the recursion limit is malformed JSON too
         ["act", "--rep", "xi", "--word", "1", "--vector", "[" * 5000 + "]" * 5000],
         ["witness", "--element", "[" * 5000 + "]" * 5000],
+        # comma lists take ASCII integers only, not what int() also reads
+        ["act", "--rep", "xi", "--word", "1_0", "--partition", ""],
+        ["act", "--rep", "xi", "--word", "+1", "--partition", ""],
+        ["normalize", "--word", "\u0663,\u0663"],
+        ["tensor", "--partition", "\u0663"],
+        ["cell", "--partition", "+2"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    # interval ends past the index range of a list are a domain error
+    for interval in ([0, 10**20 - 1], [-(10**20) + 1, -(10**20) + 1]):
+        element = json.dumps([{"word": [interval], "coeff": 1}])
+        code, out, err = run_cli(capsys, "witness", "--element", element)
+        assert code == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
     monkeypatch.setattr(cli, "normalize", broken)
@@ -302,9 +316,53 @@ def test_unknown_suite_usage_error(capsys):
 
 
 def test_cli_examples_table():
-    checked, failures = cli.run_cli_examples()
-    assert checked == len(cli.CLI_EXAMPLES)
-    assert failures == []
+    report = cli.cmd_verify("all", 2, 1, 0)
+    assert report.parameters["suites"][-1] == {
+        "suite": "cli-examples", "checked": len(cli.CLI_EXAMPLES), "failures": 0,
+    }
+    assert report.ok
+
+
+def test_failing_cli_example_is_recorded(capsys, monkeypatch):
+    index = 6
+    invoke, expected = cli.CLI_EXAMPLES[index]
+    wrong = {"n": 2, "omega": [-2, -5]}
+    planted = list(cli.CLI_EXAMPLES)
+    planted[index] = (invoke, wrong)
+    monkeypatch.setattr(cli, "CLI_EXAMPLES", planted)
+    report = cli.cmd_verify("all", 2, 1, 0)
+    assert report.failures == [
+        {"suite": "cli-examples", "law": "frozen-example", "index": index,
+         "expected": wrong, "got": expected},
+    ]
+    assert report.parameters["suites"][-1] == {
+        "suite": "cli-examples", "checked": 10, "failures": 1,
+    }
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-size", "2",
+                           "--window", "1")
+    assert code == 1
+    assert json.loads(out)["failures"] == report.failures
+
+
+def test_readme_command_examples_run(capsys):
+    # every line of the example block exits 0; a JSON comment (up to its
+    # `;`) is the exact stdout of its line
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = _readme_section(readme, "Command line").split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    assert len(lines) == 9
+    pinned = 0
+    for line in lines:
+        command, _, comment = line.partition("#")
+        program, *argv = shlex.split(command)
+        assert program == "peritl"
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, line
+        comment = comment.split(";", 1)[0].strip()
+        if comment.startswith(("[", "{")):
+            assert out == comment + "\n", line
+            pinned += 1
+    assert pinned == 3
 
 
 def test_stdout_byte_determinism():

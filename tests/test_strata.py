@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from peritl.cli import cmd_cell
 from peritl.fock import support_bounds, xi_on_partition
 from peritl.partitions import Partition, contains, enumerate_partitions, staircase
 from peritl.strata import (
@@ -12,7 +13,6 @@ from peritl.strata import (
     j_set,
     j_zero_set,
     quasi_order_compare,
-    stratum_report,
     summand_labels,
 )
 
@@ -127,22 +127,19 @@ def test_xi_changes_size_parity():
 
 
 def test_stratum_report():
-    report = stratum_report((2,))
-    assert report.cell == 1 and report.block == 0
-    assert report.to_json_dict() == {
+    assert cmd_cell((2,)) == {
         "partition": [2],
         "cell": 1,
         "block": 0,
         "ideals": {"0": True, "1": True, "2": False},
     }
-    wide = stratum_report((3, 2, 1), ideal_ks=range(5))
-    assert wide.to_json_dict()["ideals"] == {
+    assert cmd_cell((3, 2, 1), up_to=4)["ideals"] == {
         "0": True, "1": True, "2": True, "3": True, "4": False,
     }
 
 
 def check_against_oracles(lam: Partition) -> None:
-    """cell_index, in_ideal, stratum_report and box_addition_path of lam
+    """cell_index, in_ideal, the `cell` command and box_addition_path of lam
     against staircase containment and the staircase-by-staircase and
     rescanning oracles; the paths start at staircase(k), cell - 2 <= k <= cell."""
     cell = cell_index(lam)
@@ -151,9 +148,12 @@ def check_against_oracles(lam: Partition) -> None:
         in_ideal(lam, -1)
     for k in range(cell + 3):
         assert in_ideal(lam, k) == contains(lam, staircase(k)), (lam, k)
-    report = stratum_report(lam, range(cell + 3))
-    assert report.cell == cell and report.block == block_index(lam)
-    assert report.ideals == {k: contains(lam, staircase(k)) for k in range(cell + 3)}
+    assert cmd_cell(lam, cell + 2) == {
+        "partition": list(lam),
+        "cell": cell,
+        "block": block_index(lam),
+        "ideals": {str(k): contains(lam, staircase(k)) for k in range(cell + 3)},
+    }
     for k in range(max(cell - 2, 0), cell + 1):
         base = staircase(k)
         assert box_addition_path(base, lam) == oracle_box_addition_path(base, lam)
@@ -191,8 +191,3 @@ def noisy_staircases(draw) -> Partition:
 @settings(max_examples=60, deadline=None)
 def test_strata_against_oracles_noisy_staircases(lam):
     check_against_oracles(lam)
-
-
-def test_stratum_report_rejects_negative_ideals():
-    with pytest.raises(ValueError):
-        stratum_report((2, 1), range(-1, 3))

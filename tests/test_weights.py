@@ -36,15 +36,6 @@ def test_reference_markings():
     assert marking(()).boxes == ()
 
 
-def test_marking_json():
-    data = marking((3, 2, 2, 2)).to_json_dict()
-    assert data == {
-        "boxes": [[4, 2], [3, 2], [1, 3]],
-        "dTilde": [-2, -1, 2],
-        "d": [-3, -2, 1],
-    }
-
-
 def test_d_sets():
     assert d_tilde((1, 1, 1)) == {-2}
     assert d_set((1, 1, 1)) == {-3}
