@@ -3,8 +3,9 @@
 All commands read simple flags, print a single JSON document on stdout, and
 are byte-deterministic for fixed inputs.  Exit codes: 0 success, 1
 verification failures, 2 usage or parse errors, 3 domain precondition
-violations, 4 internal invariant violations (a `RuntimeError` raised by a
-cross-check of the library; reported as one `error:` line on stderr).
+violations or inputs too large to evaluate, 4 internal invariant violations
+(a `RuntimeError` raised by a cross-check of the library; reported as one
+`error:` line on stderr).
 
 Partitions are comma-separated parts, largest first, with the empty string
 for the empty partition; words are comma-separated generator indices,
@@ -118,10 +119,7 @@ def cmd_witness(element_json) -> dict:
         element = element_from_json(element_json)
     except (ValueError, TypeError, KeyError) as exc:
         raise CliError(2, f"bad element: {exc}") from exc
-    try:
-        pair = faithfulness_witness(element)
-    except OverflowError as exc:  # more letters or rows than a list can index
-        raise CliError(3, f"element too large to evaluate: {exc}") from exc
+    pair = faithfulness_witness(element)
     if pair is None:
         raise CliError(3, "the zero element has no faithfulness witness")
     lam, image = pair
@@ -311,6 +309,11 @@ def main(argv=None) -> int:
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
+    except (MemoryError, OverflowError) as exc:
+        # more boxes, letters or rows than memory holds or a list can index
+        message = str(exc) or type(exc).__name__
+        sys.stderr.write(f"error: input too large to evaluate: {message}\n")
+        return 3
     except RuntimeError as exc:
         message = " ".join(str(exc).split())
         sys.stderr.write(f"error: internal invariant violated: {message}\n")

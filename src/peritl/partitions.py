@@ -191,39 +191,13 @@ class RimHook:
         return self.height == self.width
 
 
-def remove_boxes(lam: Partition, boxes: Iterable[Box]) -> Optional[Partition]:
-    """Delete `boxes` from the diagram; None unless a partition remains.
-
-    Deletion is valid only when the removed boxes form a suffix of every
-    affected row and the new row lengths still weakly decrease.
-    """
-    by_row: dict[int, list[int]] = {}
-    for (i, j) in boxes:
-        if not box_in(lam, i, j):
-            return None
-        by_row.setdefault(i, []).append(j)
-    rows = list(lam)
-    for i, cols in by_row.items():
-        hi = max(cols)
-        lo = min(cols)
-        if hi != rows[i - 1] or len(cols) != hi - lo + 1 or len(set(cols)) != len(cols):
-            return None
-        rows[i - 1] = lo - 1
-    while rows and rows[-1] == 0:
-        rows.pop()
-    for i in range(len(rows) - 1):
-        if rows[i] < rows[i + 1]:
-            return None
-    if any(r < 0 for r in rows):
-        return None
-    return tuple(rows)
-
-
 def rim_hook(lam: Partition, c1: int, c2: int) -> Optional[RimHook]:
     """The removable rim hook covering contents [c1, c2], or None.
 
-    Present only when every content in the interval occurs in `lam` and
-    deleting the corresponding rim boxes leaves a partition.
+    The rim boxes of contents c1..c2 run up and right from a first box to a
+    last.  They come off the diagram exactly when no box lies below the first
+    and none right of the last (Macdonald, *Symmetric Functions and Hall
+    Polynomials*, I.1), so they meet the rows and columns between those two.
 
     >>> rim_hook((3, 3), 0, 2).boxes
     ((2, 2), (2, 3), (1, 3))
@@ -234,24 +208,25 @@ def rim_hook(lam: Partition, c1: int, c2: int) -> Optional[RimHook]:
         raise ValueError("need c1 <= c2")
     if not (has_content(lam, c1) and has_content(lam, c2)):
         return None
-    boxes = tuple(b for b in rim_boxes(lam) if c1 <= b[1] - b[0] <= c2)
-    if len(boxes) != c2 - c1 + 1:
+    rim = rim_boxes(lam)  # one box per content, from content 1 - len(lam) up
+    first, last = c1 + len(lam) - 1, c2 + len(lam) - 1
+    (i1, j1), (i2, j2) = rim[first], rim[last]
+    if box_in(lam, i1 + 1, j1) or box_in(lam, i2, j2 + 1):
         return None
-    if remove_boxes(lam, boxes) is None:
-        return None
-    return RimHook(
-        boxes=boxes,
-        height=len({i for (i, _) in boxes}),
-        width=len({j for (_, j) in boxes}),
-    )
+    return RimHook(boxes=tuple(rim[first : last + 1]), height=i1 - i2 + 1, width=j2 - j1 + 1)
 
 
 def delete_hook(lam: Partition, hook: RimHook) -> Partition:
-    """Delete the boxes of a hook previously produced by `rim_hook`."""
-    out = remove_boxes(lam, hook.boxes)
-    if out is None:
+    """Delete `hook` from `lam`; ValueError unless it is the hook `rim_hook`
+    gives for `lam` on the same contents."""
+    (i1, j1), (i2, j2) = hook.boxes[0], hook.boxes[-1]
+    if rim_hook(lam, j1 - i1, j2 - i2) != hook:
         raise ValueError("hook is not removable from this partition")
-    return out
+    rows = list(lam)
+    # by decreasing content, so each row met ends before its leftmost hook box
+    for (i, j) in reversed(hook.boxes):
+        rows[i - 1] = j - 1
+    return tuple(r for r in rows if r)
 
 
 def minimal_balanced_hook_starting(lam: Partition, q: int) -> Optional[RimHook]:

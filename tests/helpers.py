@@ -5,9 +5,9 @@ sharing no code with the library's row-length representation.  The
 normal-form oracle is an exhaustive search over the library's planar
 diagrams, sharing no code with the insertion algorithm of `normalize`.  The
 d-set search, the domino-stripping loop, the full-vector bottom sector, the
-staircase-by-staircase cell index and the rescanning box-addition path are
-the library's earlier algorithms, kept as references for the direct
-constructions that replaced them.
+staircase-by-staircase cell index, the rescanning box-addition path and the
+box-set hook deleter are the library's earlier algorithms, kept as
+references for the direct constructions that replaced them.
 """
 from __future__ import annotations
 
@@ -21,10 +21,14 @@ import peritl
 from peritl.fock import apply_word
 from peritl.partitions import (
     Partition,
+    RimHook,
     add_box,
+    box_in,
     contains,
     delete_hook,
     enumerate_partitions,
+    has_content,
+    rim_boxes,
     rim_hook,
     staircase,
 )
@@ -141,6 +145,49 @@ def oracle_min_balanced(lam: Partition, q: int, side: str):
         if best is None or len(skew) < len(best):
             best = skew
     return best
+
+
+def oracle_remove_boxes(lam: Partition, boxes) -> Partition | None:
+    """Delete a set of boxes from the diagram; None unless a partition remains.
+
+    Deletion is valid only when the removed boxes form a suffix of every
+    affected row and the new row lengths still weakly decrease.
+    """
+    by_row: dict[int, list[int]] = {}
+    for (i, j) in boxes:
+        if not box_in(lam, i, j):
+            return None
+        by_row.setdefault(i, []).append(j)
+    rows = list(lam)
+    for i, cols in by_row.items():
+        hi = max(cols)
+        lo = min(cols)
+        if hi != rows[i - 1] or len(cols) != hi - lo + 1 or len(set(cols)) != len(cols):
+            return None
+        rows[i - 1] = lo - 1
+    while rows and rows[-1] == 0:
+        rows.pop()
+    for i in range(len(rows) - 1):
+        if rows[i] < rows[i + 1]:
+            return None
+    if any(r < 0 for r in rows):
+        return None
+    return tuple(rows)
+
+
+def oracle_rim_hook(lam: Partition, c1: int, c2: int) -> RimHook | None:
+    """The rim boxes of contents c1..c2, kept when the box-set deleter takes
+    them off; height and width count the distinct rows and columns."""
+    if not (has_content(lam, c1) and has_content(lam, c2)):
+        return None
+    boxes = tuple(b for b in rim_boxes(lam) if c1 <= b[1] - b[0] <= c2)
+    if len(boxes) != c2 - c1 + 1 or oracle_remove_boxes(lam, boxes) is None:
+        return None
+    return RimHook(
+        boxes=boxes,
+        height=len({i for (i, _) in boxes}),
+        width=len({j for (_, j) in boxes}),
+    )
 
 
 def oracle_xi(lam: Partition, q: int) -> Partition | None:

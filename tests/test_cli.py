@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -179,6 +180,16 @@ def test_verify_stdout_matches_pinned_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
 
 
+def test_verify_stdout_at_max_size_12_matches_pinned_digest(capsys):
+    # hook geometry on 11- and 12-box partitions, beyond the benchmark's pins
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-size", "12",
+                           "--window", "3", "--seed", "0")
+    assert code == 0
+    assert json.loads(out)["checked"] == 274_325
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0ed293690b9b7acee4071c05fbc0556f08f6f19fa53fe72c470b0efd47f1fd8a")
+
+
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     from peritl.verify import VerifyReport
 
@@ -269,6 +280,29 @@ def test_exit_codes(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "normalize", "--word", "0")
     assert code == 4 and out == ""
     assert err == "error: internal invariant violated: synthetic failure\n"
+
+
+# Address-space cap of the child below: the rim of a 10**20-box row never fits.
+CHILD_MEMORY_CAP = 400 * 2**20
+
+
+def _cap_child_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY_CAP, CHILD_MEMORY_CAP))
+
+
+@pytest.mark.parametrize("argv", [
+    ["tensor", "--partition", "99999999999999999999"],
+    ["act", "--rep", "xi", "--word", "0", "--partition", "99999999999999999999"],
+])
+def test_input_too_large_is_a_domain_error(argv):
+    # only ever run under the cap: uncapped, these ask for all the memory there is
+    run = subprocess.run(
+        [sys.executable, "-m", "peritl", *argv], capture_output=True, text=True,
+        check=False, env=child_env(), preexec_fn=_cap_child_memory, timeout=120,
+    )
+    assert run.returncode == 3 and run.stdout == ""
+    assert run.stderr.startswith("error: input too large to evaluate: ")
+    assert run.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

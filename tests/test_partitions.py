@@ -26,7 +26,9 @@ from helpers import (
     boxes_of,
     mid_partitions,
     oracle_addable,
+    oracle_remove_boxes,
     oracle_removable,
+    oracle_rim_hook,
     oracle_rim_hooks,
     oracle_two_core,
     partition_count,
@@ -193,6 +195,36 @@ def test_rim_hook_against_skew_oracle():
                     assert sum(delete_hook(lam, hook)) == sum(lam) - (c2 - c1 + 1)
                 else:
                     assert hook is None
+
+
+def test_delete_hook_refuses_a_hook_of_another_partition():
+    hook = rim_hook((3, 3), 0, 2)
+    for lam in ((2, 2), (3, 2)):
+        with pytest.raises(ValueError):
+            delete_hook(lam, hook)
+
+
+@given(mid_partitions())
+@settings(max_examples=100, deadline=None)
+def test_rim_hook_against_box_set_deleter_mid_scale(lam):
+    span = range(-len(lam), lam[0] + 1)
+    intervals = [(c1, c2) for c1 in span for c2 in span if c1 <= c2]
+    if len(intervals) > 300:
+        intervals = random.Random(str(lam)).sample(intervals, 300)
+    # one more box right of row 1, or below column 1, blocks the hooks ending there
+    neighbours = (lam, (lam[0] + 1,) + lam[1:], lam + (1,))
+    for c1, c2 in intervals:
+        hook = rim_hook(lam, c1, c2)
+        assert hook == oracle_rim_hook(lam, c1, c2), (c1, c2)
+        if hook is None:
+            continue
+        for mu in neighbours:
+            expected = oracle_remove_boxes(mu, hook.boxes)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    delete_hook(mu, hook)
+            else:
+                assert delete_hook(mu, hook) == expected
 
 
 def test_minimal_balanced_hooks_examples():
