@@ -22,8 +22,6 @@ from .fock import (
     apply_word,
     classify_case,
     support_bounds,
-    tensor_block_multiplicity,
-    tensor_multiplicity,
     xi_apply,
     xi_on_partition,
     xi_prime_apply,
@@ -32,12 +30,12 @@ from .fock import (
 from .tl import (
     FcsWord,
     TLDiagram,
+    bottom_sector,
     diagram_product,
     element_multiply,
     faithfulness_witness,
     fcs_to_word,
     generator_diagram,
-    minimal_part,
     normalize,
     witness_partition,
     word_to_diagram,
@@ -45,7 +43,6 @@ from .tl import (
 from .strata import (
     cell_index,
     block_index,
-    ideal_closure_check,
     in_ideal,
     j_set,
     j_zero_set,
@@ -53,7 +50,6 @@ from .strata import (
     summand_labels,
 )
 from .weights import (
-    check_box_addition_surgery,
     closed_form_weight,
     d_set,
     d_tilde,

@@ -17,6 +17,7 @@ import argparse
 import json
 import re
 import sys
+import time
 from typing import Optional
 
 from .fock import (
@@ -130,14 +131,14 @@ def cmd_verify(suite: str, max_size: int, window: int, seed: int) -> VerifyRepor
     report = run_suite(suite, max_size=max_size, window=window, seed=seed)
     if suite == "all":
         # replay the frozen command examples; mismatches become failures
-        failed = len(report.failures)
+        start = time.perf_counter()
+        examples = VerifyReport(suite="cli-examples", parameters={})
         for idx, (invoke, expected) in enumerate(CLI_EXAMPLES):
             got = invoke()
-            report.check(got == expected, suite="cli-examples", law="frozen-example",
-                         index=idx, expected=expected, got=got)
-        failed = len(report.failures) - failed
-        report.parameters["suites"].append(
-            {"suite": "cli-examples", "checked": len(CLI_EXAMPLES), "failures": failed})
+            examples.check(got == expected, law="frozen-example", index=idx,
+                           expected=expected, got=got)
+        examples.elapsed = time.perf_counter() - start
+        report.add_part(examples)
     return report
 
 
@@ -300,10 +301,11 @@ def main(argv=None) -> int:
                 args.seed,
             )
             _emit(report.to_json_dict())
-            sys.stderr.write(
-                f"suite {report.suite}: {report.checked} checks, "
-                f"{len(report.failures)} failures, {report.elapsed:.2f}s\n"
-            )
+            for part in report.parts + [report]:
+                sys.stderr.write(
+                    f"suite {part.suite}: {part.checked} checks, "
+                    f"{len(part.failures)} failures, {part.elapsed:.2f}s\n"
+                )
             return 0 if report.ok else 1
         return 0
     except CliError as exc:

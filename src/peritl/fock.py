@@ -184,45 +184,6 @@ def support_bounds(lam: Partition) -> tuple[int, int]:
     return (-len(lam), lam[0])
 
 
-def tensor_block_multiplicity(nu: Partition, kappa: Partition, q: int) -> int:
-    """Multiplicity of kappa in the index-q block of the box tensor of nu.
-
-    Equals 1 exactly when the twisted generator action sends nu to kappa.
-
-    >>> tensor_block_multiplicity((3, 3), (2, 1), -1)
-    1
-    >>> tensor_block_multiplicity((2, 2), (1,), 0)
-    0
-    """
-    return 1 if xi_on_partition(nu, q) == kappa else 0
-
-
-def tensor_multiplicity(nu: Partition, kappa: Partition) -> int:
-    """Total multiplicity of kappa in the box tensor of nu, summed over q.
-
-    The sum runs over the support window plus a guard band of two on each
-    side, asserting that the action really vanishes on the band.
-
-    >>> tensor_multiplicity((1,), (2,))
-    1
-    >>> tensor_multiplicity((1,), (1, 1))
-    1
-    """
-    qmin, qmax = support_bounds(nu)
-    total = 0
-    for q in range(qmin - 2, qmax + 3):
-        image = xi_on_partition(nu, q)
-        if q < qmin or q > qmax:
-            if image is not None:
-                raise RuntimeError(
-                    f"action of index {q} outside window {(qmin, qmax)} on {nu}"
-                )
-            continue
-        if image == kappa:
-            total += 1
-    return total
-
-
 def tensor_rows(nu: Partition) -> list[tuple[int, Partition]]:
     """All pairs (q, image) with nonzero twisted action, by descending q.
 

@@ -8,15 +8,7 @@ tensor powers and the summand predicates live here too.
 """
 from __future__ import annotations
 
-from .fock import support_bounds, xi_on_partition
-from .partitions import (
-    Partition,
-    add_box,
-    contains,
-    enumerate_partitions,
-    partitions_of,
-    two_core,
-)
+from .partitions import Partition, add_box, contains, partitions_of, two_core
 
 
 def cell_index(lam: Partition) -> int:
@@ -114,27 +106,6 @@ def summand_labels(n: int, r: int) -> list[tuple[Partition, bool, bool]]:
             appears = k <= n
             out.append((lam, appears, appears and k == n))
     return out
-
-
-def ideal_closure_check(k: int, max_size: int) -> dict:
-    """Sweep the k-th ideal up to max_size for closure under the twisted action.
-
-    Violations are collected, not raised; the expected count is zero.
-    """
-    checked = 0
-    violations = []
-    for lam in enumerate_partitions(max_size):
-        if not in_ideal(lam, k):
-            continue
-        qmin, qmax = support_bounds(lam)
-        for q in range(qmin - 2, qmax + 3):
-            kappa = xi_on_partition(lam, q)
-            checked += 1
-            if kappa is not None and not in_ideal(kappa, k):
-                violations.append(
-                    {"partition": list(lam), "q": q, "image": list(kappa)}
-                )
-    return {"k": k, "max_size": max_size, "checked": checked, "violations": violations}
 
 
 def box_addition_path(start: Partition, target: Partition) -> list[tuple[Partition, int]]:

@@ -411,25 +411,20 @@ def element_from_json(data) -> TLElement:
 # faithfulness machinery
 
 
-def minimal_part(w: FcsWord, lam: Partition) -> Optional[Partition]:
-    """The size |lam| - len(w) part of the plain action of the monomial on lam.
+def bottom_sector(word: tuple[int, ...], lam: Partition) -> Optional[Partition]:
+    """The size |lam| - len(word) part of the plain action of the word on lam.
 
     That part is always zero or a single partition with coefficient one.
     Terms reach the bottom size only by removing a box at every step, and
     box removal at a fixed content is single-valued, so the bottom sector is
-    evolved directly as a chain of at most one partition.
+    evolved directly: remove the box of content q - 1 for each letter q,
+    rightmost first.  The word is already expanded, as `fcs_to_word` gives it.
 
-    >>> minimal_part(((0, 0),), (1, 1))
+    >>> bottom_sector((0,), (1, 1))
     (1,)
-    >>> minimal_part(((0, 0),), (2, 2)) is None
+    >>> bottom_sector((0,), (2, 2)) is None
     True
     """
-    return bottom_sector(fcs_to_word(w), lam)
-
-
-def bottom_sector(word: tuple[int, ...], lam: Partition) -> Optional[Partition]:
-    """`minimal_part` of an already expanded generator word: remove the box
-    of content q - 1 for each letter q, rightmost first."""
     cur: Optional[Partition] = lam
     for q in reversed(word):
         cur = remove_box(cur, q - 1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .partitions import Box, Partition, add_box, transpose
+from .partitions import Box, Partition, transpose
 from .strata import cell_index
 
 DominantWeight = tuple[int, ...]
@@ -203,39 +203,3 @@ def closed_form_weight(lam: Partition) -> Optional[DominantWeight]:
         raise RuntimeError(f"generic cuts of {lam} disagree: {results}")
     return results[0]
 
-
-def check_box_addition_surgery(lam: Partition, q: int) -> dict:
-    """Check how the d-set changes when the addable q-box is added.
-
-    Applicable when the box exists, the cell index is unchanged, and a
-    marked box of content q-1 (replace q-2 by q-1 in the d-set) or of
-    content q+1 with none of content q-1 (replace q by q-1) is present.
-    Returns a report dict; failures are data, never exceptions.
-    """
-    report: dict = {"partition": list(lam), "q": q, "applicable": False, "case": None}
-    mu = add_box(lam, q)
-    if mu is None:
-        report["reason"] = "no addable box of that content"
-        return report
-    n = cell_index(lam)
-    if cell_index(mu) != n:
-        report["reason"] = "cell index changes"
-        return report
-    tilde = d_tilde(lam)
-    if q - 1 in tilde:
-        case, old, new = "i", q - 2, q - 1
-    elif q + 1 in tilde:
-        case, old, new = "ii", q, q - 1
-    else:
-        report["reason"] = "no marked box of content q-1 or q+1"
-        return report
-    report["applicable"] = True
-    report["case"] = case
-    before = d_set(lam)
-    expected = (before - {old}) | {new}
-    actual = d_set(mu)
-    report["pass"] = old in before and expected == actual
-    report["d_before"] = sorted(before)
-    report["d_after"] = sorted(actual)
-    report["d_expected"] = sorted(expected)
-    return report

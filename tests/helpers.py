@@ -7,7 +7,8 @@ diagrams, sharing no code with the insertion algorithm of `normalize`.  The
 d-set search, the domino-stripping loop, the full-vector bottom sector, the
 staircase-by-staircase cell index, the rescanning box-addition path and the
 box-set hook deleter are the library's earlier algorithms, kept as
-references for the direct constructions that replaced them.
+references for the direct constructions that replaced them.  The d-set
+surgery classifier restates the rule that `verify` checks inline.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from peritl.partitions import (
 )
 from peritl.strata import cell_index
 from peritl.tl import IDENTITY, diagram_product, fcs_to_word, interval_diagram
-from peritl.weights import d_set
+from peritl.weights import d_set, d_tilde
 
 def child_env() -> dict:
     """The environment for a `python -m peritl` child process: the package the
@@ -345,3 +346,19 @@ def oracle_box_addition_path(start: Partition, target: Partition) -> list:
         path.append((cur, q))
         cur = nxt
     return path
+
+
+def surgery_case(lam: Partition, q: int) -> tuple[str, int, int] | None:
+    """The d-set surgery rule for adding the q-box to lam, as (case, old, new):
+    the d-set should trade old for new.  None unless the box is addable, the
+    cell index stays, and a marked box of content q - 1 (case i: q - 2 becomes
+    q - 1) or else of content q + 1 (case ii: q becomes q - 1) exists."""
+    mu = add_box(lam, q)
+    if mu is None or cell_index(mu) != cell_index(lam):
+        return None
+    tilde = d_tilde(lam)
+    if q - 1 in tilde:
+        return "i", q - 2, q - 1
+    if q + 1 in tilde:
+        return "ii", q, q - 1
+    return None

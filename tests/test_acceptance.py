@@ -14,11 +14,11 @@ import time
 from peritl.fock import (
     apply_word,
     support_bounds,
-    tensor_block_multiplicity,
     xi_apply,
     xi_on_partition,
 )
 from peritl.partitions import (
+    add_box,
     enumerate_partitions,
     minimal_balanced_hook_ending,
     minimal_balanced_hook_starting,
@@ -34,19 +34,18 @@ from peritl.strata import (
     summand_labels,
 )
 from peritl.tl import (
+    bottom_sector,
     fcs_length,
     fcs_to_diagram,
     fcs_to_word,
     fcs_words_in_range,
     faithfulness_witness,
-    minimal_part,
     min_witness_rows,
     normalize,
     witness_partition,
     word_to_diagram,
 )
 from peritl.weights import (
-    check_box_addition_surgery,
     closed_form_weight,
     d_set,
     dominant_weight,
@@ -54,7 +53,7 @@ from peritl.weights import (
     partition_from_d_set,
 )
 
-from helpers import child_env, oracle_min_balanced, oracle_xi
+from helpers import child_env, oracle_min_balanced, oracle_xi, surgery_case
 
 
 def criterion(number, summary):
@@ -165,19 +164,20 @@ def test_criterion_06():
             kappa = remove_box(nu, q)
             if remove_box(kappa, q - 1) is not None:
                 hypotheses += 1
-                assert tensor_block_multiplicity(nu, kappa, q - 1) == 1
+                assert xi_on_partition(nu, q - 1) == kappa
             if remove_box(kappa, q + 1) is not None:
                 hypotheses += 1
-                assert tensor_block_multiplicity(nu, kappa, q + 1) == 1
+                assert xi_on_partition(nu, q + 1) == kappa
     assert hypotheses > 0
 
 
 @criterion(7, "faithfulness: witnesses, bottom-sector injectivity, 1000 elements")
 def test_criterion_07():
     words = [w for w in fcs_words_in_range(-4, 4, 6) if w]
+    expanded = {w: fcs_to_word(w) for w in words}
     for w in words:
         lam = witness_partition(w, min_witness_rows(w))
-        assert minimal_part(w, lam) is not None
+        assert bottom_sector(expanded[w], lam) is not None
     for lam in enumerate_partitions(12):
         boxes = sum(lam)
         seen = {}
@@ -185,7 +185,7 @@ def test_criterion_07():
             length = fcs_length(w)
             if length > boxes:
                 continue
-            part = minimal_part(w, lam)
+            part = bottom_sector(expanded[w], lam)
             if part is None:
                 continue
             key = (length, part)
@@ -274,10 +274,14 @@ def test_criterion_09():
     for lam in enumerate_partitions(12):
         qmin, qmax = support_bounds(lam)
         for q in range(qmin - 1, qmax + 2):
-            report = check_box_addition_surgery(lam, q)
-            if report["applicable"]:
-                cases[report["case"]] += 1
-                assert report["pass"], report
+            rule = surgery_case(lam, q)
+            if rule is None:
+                continue
+            case, old, new = rule
+            cases[case] += 1
+            before = d_set(lam)
+            assert old in before, (lam, q)
+            assert d_set(add_box(lam, q)) == (before - {old}) | {new}, (lam, q)
     assert cases["i"] > 0 and cases["ii"] > 0
 
 

@@ -13,6 +13,7 @@ import jsonschema
 import pytest
 
 from peritl import cli
+from peritl.verify import SUITE_NAMES
 
 from helpers import child_env
 
@@ -180,14 +181,38 @@ def test_verify_stdout_matches_pinned_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
 
 
-def test_verify_stdout_at_max_size_12_matches_pinned_digest(capsys):
-    # hook geometry on 11- and 12-box partitions, beyond the benchmark's pins
-    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-size", "12",
-                           "--window", "3", "--seed", "0")
+@pytest.mark.parametrize("max_size, checked, digest", [
+    (12, 274_325, "0ed293690b9b7acee4071c05fbc0556f08f6f19fa53fe72c470b0efd47f1fd8a"),
+    (14, 540_133, "9dc482b52e51080b322fac925597caac6ce9b8c26f9c503b45bd003b145eb031"),
+], ids=["12", "14"])
+def test_verify_stdout_at_larger_max_size_matches_pinned_digest(
+    capsys, max_size, checked, digest
+):
+    # hook geometry on partitions of 11 to 14 boxes, beyond the benchmark's pins
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-size",
+                           str(max_size), "--window", "3", "--seed", "0")
     assert code == 0
-    assert json.loads(out)["checked"] == 274_325
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "0ed293690b9b7acee4071c05fbc0556f08f6f19fa53fe72c470b0efd47f1fd8a")
+    assert json.loads(out)["checked"] == checked
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_all_writes_one_stderr_line_per_suite(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--max-size", "4")
+    assert code == 0
+    lines = err.splitlines()
+    assert len(lines) == 14
+    report = json.loads(out)
+    expected = report["parameters"]["suites"] + [
+        {"suite": "all", "checked": report["checked"], "failures": 0}
+    ]
+    assert [s for s in SUITE_NAMES if s != "all"] + ["cli-examples", "all"] == [
+        e["suite"] for e in expected
+    ]
+    for line, entry in zip(lines, expected):
+        assert re.fullmatch(
+            rf"suite {entry['suite']}: {entry['checked']} checks, "
+            rf"{entry['failures']} failures, \d+\.\d\ds", line
+        ), line
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

@@ -5,8 +5,6 @@ from peritl.fock import (
     apply_word,
     classify_case,
     support_bounds,
-    tensor_block_multiplicity,
-    tensor_multiplicity,
     tensor_rows,
     vector_from_json,
     vector_to_json,
@@ -126,21 +124,27 @@ def test_support_bounds():
 
 
 def test_tensor_block_multiplicity():
-    assert tensor_block_multiplicity((2, 2), (1,), 0) == 0
-    assert tensor_block_multiplicity((3, 3), (2, 1), -1) == 1
+    # kappa has multiplicity one in the index-q block of the box tensor of nu
+    # exactly when the twisted generator q sends nu to kappa
+    assert xi_on_partition((2, 2), 0) != (1,)
+    assert xi_on_partition((3, 3), -1) == (2, 1)
     # adding a box always contributes a unit block entry
     for lam in enumerate_partitions(10):
         for q in addable_contents(lam):
-            assert tensor_block_multiplicity(lam, add_box(lam, q), q) == 1
+            assert xi_on_partition(lam, q) == add_box(lam, q)
 
 
 def test_tensor_multiplicity_examples():
-    assert tensor_multiplicity((), (1,)) == 1
-    assert tensor_multiplicity((1,), (2,)) == 1
-    assert tensor_multiplicity((1,), (1, 1)) == 1
-    assert tensor_multiplicity((1,), ()) == 0
+    # the total multiplicity of kappa is the number of rows that reach it
+    def multiplicity(nu, kappa):
+        return sum(1 for _, image in tensor_rows(nu) if image == kappa)
+
+    assert multiplicity((), (1,)) == 1
+    assert multiplicity((1,), (2,)) == 1
+    assert multiplicity((1,), (1, 1)) == 1
+    assert multiplicity((1,), ()) == 0
     # a target reachable at two different indices counts twice
-    assert tensor_multiplicity((2, 2), (2, 1)) == 2
+    assert multiplicity((2, 2), (2, 1)) == 2
 
 
 def test_tensor_rows():

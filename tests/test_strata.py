@@ -8,7 +8,6 @@ from peritl.strata import (
     block_index,
     box_addition_path,
     cell_index,
-    ideal_closure_check,
     in_ideal,
     j_set,
     j_zero_set,
@@ -83,10 +82,18 @@ def test_summand_labels_tables():
 
 
 def test_ideal_closure():
+    # every nonzero twisted step stays inside the ideal it starts from
+    checked = 0
     for k in range(4):
-        report = ideal_closure_check(k, 10)
-        assert report["violations"] == []
-        assert report["checked"] > 0
+        for lam in enumerate_partitions(10):
+            if not in_ideal(lam, k):
+                continue
+            qmin, qmax = support_bounds(lam)
+            for q in range(qmin - 2, qmax + 3):
+                kappa = xi_on_partition(lam, q)
+                assert kappa is None or in_ideal(kappa, k), (k, lam, q, kappa)
+                checked += kappa is not None
+    assert checked > 0
 
 
 def test_ideal_chain_strict():

@@ -9,6 +9,7 @@ from peritl.partitions import enumerate_partitions
 from peritl.tl import (
     IDENTITY,
     TLDiagram,
+    bottom_sector,
     check_fcs_word,
     diagram_product,
     element_from_json,
@@ -22,7 +23,6 @@ from peritl.tl import (
     generator_diagram,
     interval_diagram,
     min_witness_rows,
-    minimal_part,
     normalize,
     witness_partition,
     word_to_diagram,
@@ -263,16 +263,16 @@ def test_action_factors_through_diagrams():
 
 
 def test_minimal_part_examples():
-    assert minimal_part(((0, 0),), (1, 1)) == (1,)
-    assert minimal_part(((0, 0),), (2, 2)) is None
-    assert minimal_part((), (3, 1)) == (3, 1)
+    assert bottom_sector(fcs_to_word(((0, 0),)), (1, 1)) == (1,)
+    assert bottom_sector(fcs_to_word(((0, 0),)), (2, 2)) is None
+    assert bottom_sector(fcs_to_word(()), (3, 1)) == (3, 1)
 
 
 def test_minimal_part_dual_route():
     words = [w for w in fcs_words_in_range(-2, 2, 4)]
     for w in words:
         for lam in enumerate_partitions(7):
-            assert minimal_part(w, lam) == oracle_minimal_part(w, lam)
+            assert bottom_sector(fcs_to_word(w), lam) == oracle_minimal_part(w, lam)
 
 
 def _row_removal_oracle(w, lam):
@@ -300,7 +300,8 @@ def test_minimal_part_against_row_removal_oracle():
     words = [w for w in fcs_words_in_range(-3, 3, 5)]
     for w in words:
         for lam in enumerate_partitions(9):
-            assert minimal_part(w, lam) == _row_removal_oracle(w, lam), (w, lam)
+            part = bottom_sector(fcs_to_word(w), lam)
+            assert part == _row_removal_oracle(w, lam), (w, lam)
 
 
 def test_witness_partition():
@@ -318,7 +319,7 @@ def test_witness_bottom_sector_never_absent():
         if not w:
             continue
         lam = witness_partition(w, min_witness_rows(w))
-        assert minimal_part(w, lam) is not None, w
+        assert bottom_sector(fcs_to_word(w), lam) is not None, w
 
 
 def test_equal_length_words_have_distinct_bottom_sectors():
@@ -326,7 +327,7 @@ def test_equal_length_words_have_distinct_bottom_sectors():
     for lam in enumerate_partitions(8):
         seen = {}
         for w in words:
-            part = minimal_part(w, lam)
+            part = bottom_sector(fcs_to_word(w), lam)
             if part is None:
                 continue
             key = (fcs_length(w), part)

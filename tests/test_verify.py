@@ -4,7 +4,7 @@ import inspect
 import pytest
 
 import peritl
-from peritl import cli, fock, strata
+from peritl import cli, fock, strata, weights
 from peritl.verify import SUITE_NAMES, run_suite
 
 
@@ -46,7 +46,7 @@ def missed_operations(suite: str) -> list[str]:
         for name, fn in {**vars(peritl), **commands}.items()
         if inspect.isfunction(fn)
     }
-    assert len(operations) == 55
+    assert len(operations) == 51
     prof = cProfile.Profile()
     report = prof.runcall(cli.cmd_verify, suite, max_size=6, window=2, seed=0)
     assert report.ok
@@ -80,6 +80,60 @@ def test_relation_laws_catch_a_planted_fault(monkeypatch):
         {"law": "contraction", "rep": "xi", "partition": [1], "i": 1, "pm": 1},
         {"law": "contraction", "rep": "xi", "partition": [3], "i": 1, "pm": -1},
     ]
+
+
+def _plant_xi_image(monkeypatch):
+    # send (2, 1) to (1,) under the index-0 generator; the true image is (2, 2)
+    true_xi = fock.xi_on_partition
+
+    def planted(lam, q):
+        return (1,) if (lam, q) == ((2, 1), 0) else true_xi(lam, q)
+
+    monkeypatch.setattr(fock, "xi_on_partition", planted)
+
+
+def test_closure_law_catches_a_planted_fault(monkeypatch):
+    # (1,) has left the ideal of staircase (2, 1) that its preimage is in
+    _plant_xi_image(monkeypatch)
+    report = run_suite("preserve", 5, 2, 0)
+    assert report.checked == 444
+    assert report.failures == [
+        {"law": "ideal-closure", "k": 2, "partition": [2, 1], "q": 0, "image": [1]},
+    ]
+
+
+def test_block_multiplicity_laws_catch_a_planted_fault(monkeypatch):
+    # tensor_rows reads the same planted action, so only the added box shows
+    _plant_xi_image(monkeypatch)
+    report = run_suite("remove-box", 5, 2, 0)
+    assert report.checked == 82
+    assert report.failures == [
+        {"law": "added-box-multiplicity", "nu": [2, 1], "q": 0},
+    ]
+
+
+def test_surgery_law_catches_a_planted_fault(monkeypatch):
+    # a wrong d-set on (2, 2) breaks the case-i step into it and the one out
+    true_d_set = weights.d_set
+
+    def planted(lam):
+        return {99} if lam == (2, 2) else true_d_set(lam)
+
+    monkeypatch.setattr(weights, "d_set", planted)
+    report = run_suite("lemaddq", 5, 2, 0)
+    assert report.checked == 142
+    assert report.failures == [
+        {"law": "d-set-surgery", "partition": [2, 1], "q": 0, "applicable": True,
+         "case": "i", "pass": False, "d_before": [-2, 0], "d_after": [99],
+         "d_expected": [-1, 0]},
+        {"law": "d-set-surgery", "partition": [2, 2], "q": 2, "applicable": True,
+         "case": "i", "pass": False, "d_before": [99], "d_after": [-1, 1],
+         "d_expected": [1, 99]},
+    ]
+    assert [list(f) for f in report.failures] == [
+        ["law", "partition", "q", "applicable", "case", "pass", "d_before",
+         "d_after", "d_expected"],
+    ] * 2
 
 
 # a cell index off by one on one partition, and the failures that partition

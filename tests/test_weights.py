@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 
 from peritl.fock import support_bounds
-from peritl.partitions import check_partition, enumerate_partitions, staircase
+from peritl.partitions import add_box, check_partition, enumerate_partitions, staircase
 from peritl.strata import cell_index
 from peritl.weights import (
-    check_box_addition_surgery,
     closed_form_weight,
     d_set,
     d_tilde,
@@ -17,7 +16,7 @@ from peritl.weights import (
     weight_from_subset,
 )
 
-from helpers import mid_partitions, oracle_partition_from_d_set
+from helpers import mid_partitions, oracle_partition_from_d_set, surgery_case
 
 # the six reference marked diagrams, bottom row first
 REFERENCE = {
@@ -138,20 +137,18 @@ def test_closed_form_matches_dictionary():
 
 
 def test_surgery_reference_case():
-    report = check_box_addition_surgery((2, 1), 2)
-    assert report["applicable"] and report["case"] == "i" and report["pass"]
-    assert report["d_before"] == [-2, 0]
-    assert report["d_after"] == [-2, 1]
+    # the content-2 box turns (2, 1) into (3, 1): d-set value 0 becomes 1
+    assert surgery_case((2, 1), 2) == ("i", 0, 1)
+    assert sorted(d_set((2, 1))) == [-2, 0]
+    assert sorted(d_set((3, 1))) == [-2, 1]
 
 
 def test_surgery_not_applicable_when_cell_changes():
     # adding the content -1 box to (2,) deepens the staircase
-    report = check_box_addition_surgery((2,), -1)
-    assert not report["applicable"]
-    assert report["reason"] == "cell index changes"
-    report = check_box_addition_surgery((2, 1), 1)
-    assert not report["applicable"]
-    assert report["reason"] == "no addable box of that content"
+    assert cell_index(add_box((2,), -1)) != cell_index((2,))
+    assert surgery_case((2,), -1) is None
+    assert add_box((2, 1), 1) is None
+    assert surgery_case((2, 1), 1) is None
 
 
 def test_surgery_sweep():
@@ -159,8 +156,12 @@ def test_surgery_sweep():
     for lam in enumerate_partitions(11):
         qmin, qmax = support_bounds(lam)
         for q in range(qmin - 1, qmax + 2):
-            report = check_box_addition_surgery(lam, q)
-            if report["applicable"]:
-                seen_cases[report["case"]] += 1
-                assert report["pass"], report
+            rule = surgery_case(lam, q)
+            if rule is None:
+                continue
+            case, old, new = rule
+            seen_cases[case] += 1
+            before = d_set(lam)
+            assert old in before, (lam, q)
+            assert d_set(add_box(lam, q)) == (before - {old}) | {new}, (lam, q)
     assert seen_cases["i"] > 0 and seen_cases["ii"] > 0
