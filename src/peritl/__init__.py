@@ -22,9 +22,7 @@ from .fock import (
     apply_word,
     classify_case,
     support_bounds,
-    xi_apply,
     xi_on_partition,
-    xi_prime_apply,
     xi_prime_on_partition,
 )
 from .tl import (

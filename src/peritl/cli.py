@@ -17,7 +17,6 @@ import argparse
 import json
 import re
 import sys
-import time
 from typing import Optional
 
 from .fock import (
@@ -31,7 +30,7 @@ from .fock import (
 from .partitions import Partition, check_partition
 from .strata import block_index, cell_index, summand_labels
 from .tl import element_from_json, faithfulness_witness, normalize
-from .verify import SUITE_NAMES, VerifyReport, run_suite
+from .verify import SUITE_NAMES, run_suite
 from .weights import dominant_weight
 
 
@@ -127,23 +126,8 @@ def cmd_witness(element_json) -> dict:
     return {"partition": list(lam), "image": vector_to_json(image)}
 
 
-def cmd_verify(suite: str, max_size: int, window: int, seed: int) -> VerifyReport:
-    report = run_suite(suite, max_size=max_size, window=window, seed=seed)
-    if suite == "all":
-        # replay the frozen command examples; mismatches become failures
-        start = time.perf_counter()
-        examples = VerifyReport(suite="cli-examples", parameters={})
-        for idx, (invoke, expected) in enumerate(CLI_EXAMPLES):
-            got = invoke()
-            examples.check(got == expected, law="frozen-example", index=idx,
-                           expected=expected, got=got)
-        examples.elapsed = time.perf_counter() - start
-        report.add_part(examples)
-    return report
-
-
 # ---------------------------------------------------------------------------
-# example invocations replayed by `verify --suite all`, expected output frozen
+# example invocations replayed by the `cli-examples` suite, expected output frozen
 
 
 CLI_EXAMPLES = [
@@ -294,7 +278,7 @@ def main(argv=None) -> int:
         elif args.command == "witness":
             _emit(cmd_witness(_parse_json_flag(args.element, "element")))
         elif args.command == "verify":
-            report = cmd_verify(
+            report = run_suite(
                 args.suite,
                 _nonnegative(args.max_size, "--max-size"),
                 _nonnegative(args.window, "--window"),

@@ -117,39 +117,14 @@ def xi_prime_on_partition(lam: Partition, q: int) -> FockVector:
     return out
 
 
-def xi_apply(vec: FockVector, q: int) -> FockVector:
-    """Linear extension of the twisted generator action to a vector."""
-    out: FockVector = {}
-    for lam, coeff in vec.items():
-        kappa = xi_on_partition(lam, q)
-        if kappa is not None:
-            new = out.get(kappa, 0) + coeff
-            if new:
-                out[kappa] = new
-            else:
-                del out[kappa]
-    return out
-
-
-def xi_prime_apply(vec: FockVector, q: int) -> FockVector:
-    """Linear extension of the plain generator action to a vector."""
-    out: FockVector = {}
-    for lam, coeff in vec.items():
-        for kappa in xi_prime_on_partition(lam, q):
-            new = out.get(kappa, 0) + coeff
-            if new:
-                out[kappa] = new
-            else:
-                del out[kappa]
-    return out
-
-
 def apply_word(vec: FockVector, word: Iterable[int], rep: str = "xi") -> FockVector:
     """Act by a product of generators, rightmost generator first.
 
     The word (i_1, ..., i_r) acts as the operator composition
     T_{i_1} after ... after T_{i_r}, so the last index in the word is the
-    first one applied to the vector.
+    first one applied to the vector.  Each generator acts on the vector as
+    the linear extension of `xi_on_partition` (rep "xi") or
+    `xi_prime_on_partition` (rep "xi-prime").
 
     >>> apply_word({(): 1}, [0, 1, 0], "xi")
     {(1,): 1}
@@ -158,12 +133,25 @@ def apply_word(vec: FockVector, word: Iterable[int], rep: str = "xi") -> FockVec
     """
     if rep not in REPRESENTATIONS:
         raise ValueError(f"unknown representation {rep!r}")
-    step = xi_apply if rep == "xi" else xi_prime_apply
+    twisted = rep == "xi"
     cur = dict(vec)
     for q in reversed(list(word)):
-        cur = step(cur, q)
-        if not cur:
+        out: FockVector = {}
+        for lam, coeff in cur.items():
+            if twisted:
+                kappa = xi_on_partition(lam, q)
+                images = () if kappa is None else (kappa,)
+            else:
+                images = xi_prime_on_partition(lam, q)
+            for kappa in images:
+                new = out.get(kappa, 0) + coeff
+                if new:
+                    out[kappa] = new
+                else:
+                    del out[kappa]
+        if not out:
             return {}
+        cur = out
     return cur
 
 

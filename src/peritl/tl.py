@@ -433,34 +433,27 @@ def bottom_sector(word: tuple[int, ...], lam: Partition) -> Optional[Partition]:
     return cur
 
 
-def min_witness_rows(w: FcsWord) -> int:
-    """Smallest admissible number of long rows for `witness_partition`."""
-    w = check_fcs_word(w)
-    if not w:
-        return 1
-    r = len(w)
-    return max(1, 2 - w[-1][0] - r)
-
-
-def witness_partition(w: FcsWord, p: int) -> Partition:
+def witness_partition(w: FcsWord) -> Partition:
     """A partition on which the monomial acts with nonzero bottom sector.
 
     Built from p copies of a longest row followed by one row per interval:
-    row p+i has length p + i + b_i - 1.  Requires p at least
-    max(1, 2 - a_r - r), which makes the rows weakly decreasing and positive.
+    row p+i has length p + i + b_i - 1.  For the word [a_1,b_1]...[a_r,b_r],
+    p = max(1, 2 - a_r - r) is the fewest long rows that make the rows
+    weakly decreasing and positive.
 
-    >>> witness_partition(((0, 0),), 1)
+    >>> witness_partition(((0, 0),))
     (1, 1)
-    >>> witness_partition(((1, 1),), 1)
+    >>> witness_partition(((1, 1),))
     (2, 2)
-    >>> witness_partition((), 1)
+    >>> witness_partition(((-5, -5),))
+    (1, 1, 1, 1, 1, 1, 1)
+    >>> witness_partition(())
     ()
     """
     w = check_fcs_word(w)
     if not w:
         return ()
-    if p < min_witness_rows(w):
-        raise ValueError(f"p={p} below the admissible bound {min_witness_rows(w)}")
+    p = max(1, 2 - w[-1][0] - len(w))
     ends = [b for _, b in w]
     rows = [p + ends[0]] * p
     rows += [p + i + ends[i - 1] - 1 for i in range(1, len(w) + 1)]
@@ -471,10 +464,9 @@ def faithfulness_witness(x: TLElement) -> Optional[tuple[Partition, FockVector]]
     """A partition on which a nonzero element acts nonzero, with its image.
 
     Picks a monomial of maximal length (largest word on ties), evaluates the
-    whole element on the witness partition of that monomial at the smallest
-    admissible row count, and returns the pair.  None for the zero element;
-    a zero image for a nonzero element would disprove faithfulness and
-    raises.
+    whole element on the witness partition of that monomial, and returns
+    the pair.  None for the zero element; a zero image for a nonzero element
+    would disprove faithfulness and raises.
 
     >>> faithfulness_witness({((0, 0),): 1})
     ((1, 1), {(1,): 1})
@@ -485,7 +477,7 @@ def faithfulness_witness(x: TLElement) -> Optional[tuple[Partition, FockVector]]
     if not terms:
         return None
     lead = max(terms, key=element_key)
-    lam = witness_partition(lead, min_witness_rows(lead))
+    lam = witness_partition(lead)
     total: FockVector = {}
     for w, c in terms.items():
         image = apply_word({lam: 1}, fcs_to_word(w), "xi-prime")

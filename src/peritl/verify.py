@@ -111,7 +111,7 @@ def _suite_single_term(run, max_size, window, rng):
         qmin, qmax = fock.support_bounds(lam)
         for q in range(qmin - 2, qmax + 3):
             case = fock.classify_case(lam, q)
-            image = fock.xi_apply({lam: 1}, q)
+            image = fock.apply_word({lam: 1}, [q], "xi")
             run.check(
                 len(image) <= 1 and all(c == 1 for c in image.values()),
                 law="single-unit-term", partition=list(lam), q=q,
@@ -197,16 +197,16 @@ def _suite_remove_box(run, max_size, window, rng):
 def _suite_marking(run, max_size, window, rng):
     for lam, boxes in REFERENCE_MARKINGS.items():
         run.check(
-            weights.marking(lam).boxes == boxes,
+            weights.marking(lam) == boxes,
             law="reference-marking", partition=list(lam),
         )
     for lam in enumerate_partitions(max_size):
         mark = weights.marking(lam)
         run.check(
-            len(mark.boxes) == strata.cell_index(lam),
+            len(mark) == strata.cell_index(lam),
             law="diamond-count-is-cell-index", partition=list(lam),
         )
-        contents = mark.contents
+        contents = [j - i for i, j in mark]
         run.check(
             all(contents[i] < contents[i + 1] for i in range(len(contents) - 1)),
             law="marked-contents-increase", partition=list(lam),
@@ -434,7 +434,7 @@ def _suite_faithfulness(run, max_size, window, rng):
     words = [w for w in tl.fcs_words_in_range(-window, window, 6) if w]
     expanded = [(w, tl.fcs_to_word(w)) for w in words]
     for w, word in expanded:
-        lam = tl.witness_partition(w, tl.min_witness_rows(w))
+        lam = tl.witness_partition(w)
         run.check(
             tl.bottom_sector(word, lam) is not None,
             law="witness-has-bottom-sector", word=w, partition=list(lam),
@@ -480,6 +480,16 @@ def _suite_faithfulness(run, max_size, window, rng):
             )
 
 
+def _suite_cli_examples(run, max_size, window, rng):
+    """Replay the frozen command examples; a mismatch is a failure."""
+    from .cli import CLI_EXAMPLES  # imported here: cli imports this module
+
+    for idx, (invoke, expected) in enumerate(CLI_EXAMPLES):
+        got = invoke()
+        run.check(got == expected, law="frozen-example", index=idx,
+                  expected=expected, got=got)
+
+
 _SUITES = {
     "tl-relations": _suite_tl_relations,
     "tl-prime-relations": _suite_tl_prime_relations,
@@ -493,6 +503,7 @@ _SUITES = {
     "ideals": _suite_ideals,
     "fcs-basis": _suite_fcs_basis,
     "faithfulness": _suite_faithfulness,
+    "cli-examples": _suite_cli_examples,
 }
 
 SUITE_NAMES = tuple(_SUITES) + ("all",)

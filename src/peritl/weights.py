@@ -12,7 +12,6 @@ row by row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .partitions import Box, Partition, transpose
@@ -21,27 +20,16 @@ from .strata import cell_index
 DominantWeight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Marking:
-    """Diamond-marked boxes of a diagram, bottom row first."""
-
-    boxes: tuple[Box, ...]
-
-    @property
-    def contents(self) -> tuple[int, ...]:
-        """Contents of the marked boxes in marking order (strictly increasing)."""
-        return tuple(j - i for (i, j) in self.boxes)
-
-
-def marking(lam: Partition) -> Marking:
+def marking(lam: Partition) -> tuple[Box, ...]:
     """Mark the diagram bottom-up: the right-most box of row i gets a diamond
-    when fewer than lam[i] diamonds exist so far.
+    when fewer than lam[i] diamonds exist so far.  Returns the marked boxes,
+    bottom row first; their contents j - i strictly increase.
 
-    >>> marking((2,)).boxes
+    >>> marking((2,))
     ((1, 2),)
-    >>> marking((2, 2, 2)).boxes
+    >>> marking((2, 2, 2))
     ((3, 2), (2, 2))
-    >>> marking((4, 2, 1)).boxes
+    >>> marking((4, 2, 1))
     ((3, 1), (2, 2), (1, 4))
     """
     boxes = []
@@ -50,11 +38,10 @@ def marking(lam: Partition) -> Marking:
         if count < lam[i - 1]:
             boxes.append((i, lam[i - 1]))
             count += 1
-    out = Marking(boxes=tuple(boxes))
-    contents = out.contents
+    contents = tuple(j - i for i, j in boxes)
     if len(set(contents)) != len(contents):
         raise RuntimeError(f"marked contents of {lam} collide: {contents}")
-    return out
+    return tuple(boxes)
 
 
 def d_tilde(lam: Partition) -> set[int]:
@@ -65,7 +52,7 @@ def d_tilde(lam: Partition) -> set[int]:
     >>> sorted(d_tilde((3, 2, 2, 2)))
     [-2, -1, 2]
     """
-    return set(marking(lam).contents)
+    return {j - i for i, j in marking(lam)}
 
 
 def d_set(lam: Partition) -> set[int]:
@@ -76,7 +63,7 @@ def d_set(lam: Partition) -> set[int]:
     >>> sorted(d_set((2, 2, 1, 1)))
     [-4, -1]
     """
-    return {c - 1 for c in marking(lam).contents}
+    return {j - i - 1 for i, j in marking(lam)}
 
 
 def _decreasing_subset(subset: Iterable[int], n: int) -> list[int]:

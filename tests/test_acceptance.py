@@ -14,7 +14,6 @@ import time
 from peritl.fock import (
     apply_word,
     support_bounds,
-    xi_apply,
     xi_on_partition,
 )
 from peritl.partitions import (
@@ -40,7 +39,6 @@ from peritl.tl import (
     fcs_to_word,
     fcs_words_in_range,
     faithfulness_witness,
-    min_witness_rows,
     normalize,
     witness_partition,
     word_to_diagram,
@@ -104,7 +102,7 @@ def test_criterion_03():
     for lam in enumerate_partitions(12):
         qmin, qmax = support_bounds(lam)
         for q in range(qmin - 2, qmax + 3):
-            image = xi_apply({lam: 1}, q)
+            image = apply_word({lam: 1}, [q], "xi")
             assert len(image) <= 1
             assert all(c == 1 for c in image.values())
             for kappa in image:
@@ -176,7 +174,7 @@ def test_criterion_07():
     words = [w for w in fcs_words_in_range(-4, 4, 6) if w]
     expanded = {w: fcs_to_word(w) for w in words}
     for w in words:
-        lam = witness_partition(w, min_witness_rows(w))
+        lam = witness_partition(w)
         assert bottom_sector(expanded[w], lam) is not None
     for lam in enumerate_partitions(12):
         boxes = sum(lam)
@@ -257,9 +255,9 @@ def test_criterion_09():
         (4, 2, 1): ((3, 1), (2, 2), (1, 4)),
     }
     for lam, boxes in references.items():
-        assert marking(lam).boxes == boxes
+        assert marking(lam) == boxes
     for lam in enumerate_partitions(14):
-        assert len(marking(lam).boxes) == cell_index(lam)
+        assert len(marking(lam)) == cell_index(lam)
     for lam in enumerate_partitions(14):
         n = cell_index(lam)
         assert n <= 4

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 from peritl import cli
-from peritl.verify import SUITE_NAMES
+from peritl.verify import SUITE_NAMES, run_suite
 
 from helpers import child_env
 
@@ -205,14 +205,19 @@ def test_verify_all_writes_one_stderr_line_per_suite(capsys):
     expected = report["parameters"]["suites"] + [
         {"suite": "all", "checked": report["checked"], "failures": 0}
     ]
-    assert [s for s in SUITE_NAMES if s != "all"] + ["cli-examples", "all"] == [
-        e["suite"] for e in expected
-    ]
+    assert list(SUITE_NAMES) == [e["suite"] for e in expected]
     for line, entry in zip(lines, expected):
         assert re.fullmatch(
             rf"suite {entry['suite']}: {entry['checked']} checks, "
             rf"{entry['failures']} failures, \d+\.\d\ds", line
         ), line
+
+
+def test_verify_all_stdout_is_the_library_report(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-size", "4",
+                           "--window", "2")
+    assert code == 0
+    assert json.loads(out) == run_suite("all", 4, 2, 0).to_json_dict()
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
@@ -226,7 +231,7 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
             failures=[{"law": "synthetic"}],
         )
 
-    monkeypatch.setattr(cli, "cmd_verify", fake)
+    monkeypatch.setattr(cli, "run_suite", fake)
     code, out, _ = run_cli(capsys, "verify", "--suite", "marking")
     assert code == 1
     assert json.loads(out)["failures"]
@@ -330,6 +335,51 @@ def test_input_too_large_is_a_domain_error(argv):
     assert run.stderr.count("\n") == 1
 
 
+# CPU cap of the magnitude-stress children: a command whose work follows the
+# number of rows, letters or expanded letters answers these in well under it.
+STRESS_CPU_SECONDS = 2
+
+
+def _cap_child_memory_and_cpu():
+    _cap_child_memory()
+    resource.setrlimit(resource.RLIMIT_CPU, (STRESS_CPU_SECONDS, STRESS_CPU_SECONDS))
+
+
+def _found(argv, stdout, reason):
+    return pytest.param(argv, 0, stdout, marks=pytest.mark.xfail(strict=True, reason=reason))
+
+
+@pytest.mark.parametrize("argv, code, stdout", [
+    (["cell", "--partition", "100000000000000000000,1"], 0,
+     '{"partition":[100000000000000000000,1],"cell":2,"block":2,'
+     '"ideals":{"0":true,"1":true,"2":true,"3":false}}\n'),
+    (["weight", "--partition", "100000000000000000000,1"], 0,
+     '{"n":2,"omega":[99999999999999999997,-2]}\n'),
+    (["act", "--rep", "xi-prime", "--word", "5",
+      "--partition", "100000000000000000000,2"], 0, "[]\n"),
+    # 10**12 letters cannot be expanded: a prompt domain error, not a long run
+    (["witness", "--element", '[{"word":[[0,1000000000000]],"coeff":1}]'], 3, ""),
+    _found(["act", "--rep", "xi", "--word", "5", "--partition", "3000000,2"], "[]\n",
+           "one twisted letter searches hook ends along the whole row; "
+           "runs past a 20 s CPU cap"),
+    _found(["act", "--rep", "xi", "--word", "-1", "--partition", "20000,20000"], "[]\n",
+           "one twisted letter searches hook ends along the whole rim; "
+           "runs past a 20 s CPU cap"),
+    _found(["act", "--rep", "xi", "--word", "0", "--partition", "10000000"], "[]\n",
+           "rim_hook lists every rim box of the row: MemoryError, exit 3, after about 1 s"),
+    _found(["normalize", "--word", "0,1000000"], "[[1000000,1000000],[0,0]]\n",
+           "diagram composition lists every point of the letters' span: exit 3"),
+], ids=["cell", "weight", "act-xi-prime", "witness", "act-xi-row", "act-xi-square",
+        "act-xi-long-row", "normalize-span"])
+def test_cost_follows_input_size_not_magnitude(argv, code, stdout):
+    # only ever run under both caps: several of these hang or fill memory uncapped
+    run = subprocess.run(
+        [sys.executable, "-m", "peritl", *argv], capture_output=True, text=True,
+        check=False, env=child_env(), preexec_fn=_cap_child_memory_and_cpu, timeout=120,
+    )
+    assert (run.returncode, run.stdout) == (code, stdout)
+
+
 @pytest.mark.parametrize("argv", [
     ["act", "--rep", "xi", "--word", "0", "--partition", "", "--seed", "5"],
     ["normalize", "--word", "0", "--window", "3"],
@@ -375,7 +425,7 @@ def test_unknown_suite_usage_error(capsys):
 
 
 def test_cli_examples_table():
-    report = cli.cmd_verify("all", 2, 1, 0)
+    report = run_suite("all", 2, 1, 0)
     assert report.parameters["suites"][-1] == {
         "suite": "cli-examples", "checked": len(cli.CLI_EXAMPLES), "failures": 0,
     }
@@ -389,7 +439,7 @@ def test_failing_cli_example_is_recorded(capsys, monkeypatch):
     planted = list(cli.CLI_EXAMPLES)
     planted[index] = (invoke, wrong)
     monkeypatch.setattr(cli, "CLI_EXAMPLES", planted)
-    report = cli.cmd_verify("all", 2, 1, 0)
+    report = run_suite("all", 2, 1, 0)
     assert report.failures == [
         {"suite": "cli-examples", "law": "frozen-example", "index": index,
          "expected": wrong, "got": expected},

@@ -8,9 +8,7 @@ from peritl.fock import (
     tensor_rows,
     vector_from_json,
     vector_to_json,
-    xi_apply,
     xi_on_partition,
-    xi_prime_apply,
     xi_prime_on_partition,
 )
 from peritl.partitions import (
@@ -75,12 +73,12 @@ def test_xi_against_box_set_oracle():
 
 
 def test_xi_apply_linearity():
-    assert xi_apply({(): 1}, 0) == {(1,): 1}
-    assert xi_apply({(1,): 2, (2,): -1}, 1) == {(2,): 2}
-    assert xi_apply({}, 3) == {}
+    assert apply_word({(): 1}, [0], "xi") == {(1,): 1}
+    assert apply_word({(1,): 2, (2,): -1}, [1], "xi") == {(2,): 2}
+    assert apply_word({}, [3], "xi") == {}
     # exact cancellation
-    assert xi_apply({(1,): 1, (2, 2): 1}, -1) == {(1, 1): 1, (2, 1): 1}
-    assert xi_apply({(): 1, (2,): -1}, 0) == {}
+    assert apply_word({(1,): 1, (2, 2): 1}, [-1], "xi") == {(1, 1): 1, (2, 1): 1}
+    assert apply_word({(): 1, (2,): -1}, [0], "xi") == {}
 
 
 def test_xi_prime_examples():
@@ -89,7 +87,7 @@ def test_xi_prime_examples():
     # the index-2 generator on (2,1): adds the content-2 box and removes the
     # content-1 box (1,2)
     assert xi_prime_on_partition((2, 1), 2) == {(3, 1): 1, (1, 1): 1}
-    assert xi_prime_apply({(2, 1): 1}, 2) == {(3, 1): 1, (1, 1): 1}
+    assert apply_word({(2, 1): 1}, [2], "xi-prime") == {(3, 1): 1, (1, 1): 1}
 
 
 def test_apply_word_order_and_identity():

@@ -22,7 +22,6 @@ from peritl.tl import (
     fcs_words_in_range,
     generator_diagram,
     interval_diagram,
-    min_witness_rows,
     normalize,
     witness_partition,
     word_to_diagram,
@@ -305,20 +304,18 @@ def test_minimal_part_against_row_removal_oracle():
 
 
 def test_witness_partition():
-    assert witness_partition(((0, 0),), 1) == (1, 1)
-    assert witness_partition(((1, 1),), 1) == (2, 2)
-    assert witness_partition((), 1) == ()
-    assert min_witness_rows(((-5, -5),)) == 6
-    assert witness_partition(((-5, -5),), 6) == (1, 1, 1, 1, 1, 1, 1)
-    with pytest.raises(ValueError):
-        witness_partition(((-5, -5),), 2)
+    assert witness_partition(((0, 0),)) == (1, 1)
+    assert witness_partition(((1, 1),)) == (2, 2)
+    assert witness_partition(()) == ()
+    # six long rows: the fewest with a last row of length 6 + 1 - 5 - 1 = 1
+    assert witness_partition(((-5, -5),)) == (1, 1, 1, 1, 1, 1, 1)
 
 
 def test_witness_bottom_sector_never_absent():
     for w in fcs_words_in_range(-3, 3, 5):
         if not w:
             continue
-        lam = witness_partition(w, min_witness_rows(w))
+        lam = witness_partition(w)
         assert bottom_sector(fcs_to_word(w), lam) is not None, w
 
 

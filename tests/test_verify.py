@@ -39,16 +39,16 @@ def test_all_aggregates():
 
 def missed_operations(suite: str) -> list[str]:
     """Public operations (the functions exported by peritl plus the cli.cmd_*
-    command bodies) that a profiled `cmd_verify` run of `suite` never called."""
+    command bodies) that a profiled `run_suite` run of `suite` never called."""
     commands = {k: v for k, v in vars(cli).items() if k.startswith("cmd_")}
     operations = {
         fn.__code__: f"{fn.__module__.rsplit('.', 1)[-1]}.{name}"
         for name, fn in {**vars(peritl), **commands}.items()
         if inspect.isfunction(fn)
     }
-    assert len(operations) == 51
+    assert len(operations) == 48
     prof = cProfile.Profile()
-    report = prof.runcall(cli.cmd_verify, suite, max_size=6, window=2, seed=0)
+    report = prof.runcall(run_suite, suite, max_size=6, window=2, seed=0)
     assert report.ok
     called = {entry.code for entry in prof.getstats() if entry.callcount}
     return sorted(name for code, name in operations.items() if code not in called)
