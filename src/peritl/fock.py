@@ -117,7 +117,9 @@ def xi_prime_on_partition(lam: Partition, q: int) -> FockVector:
     return out
 
 
-def apply_word(vec: FockVector, word: Iterable[int], rep: str = "xi") -> FockVector:
+def apply_word(
+    vec: FockVector, word: Iterable[int], rep: str = "xi", table: Optional[dict] = None
+) -> FockVector:
     """Act by a product of generators, rightmost generator first.
 
     The word (i_1, ..., i_r) acts as the operator composition
@@ -125,6 +127,11 @@ def apply_word(vec: FockVector, word: Iterable[int], rep: str = "xi") -> FockVec
     first one applied to the vector.  Each generator acts on the vector as
     the linear extension of `xi_on_partition` (rep "xi") or
     `xi_prime_on_partition` (rep "xi-prime").
+
+    `table`, when given, is a dict owned by the caller for one computation:
+    the image of each partition under each generator is read from it under
+    the key (rep, lam, q), and computed and stored as a tuple of partitions
+    on first use.  Without it every image is computed afresh.
 
     >>> apply_word({(): 1}, [0, 1, 0], "xi")
     {(1,): 1}
@@ -138,11 +145,14 @@ def apply_word(vec: FockVector, word: Iterable[int], rep: str = "xi") -> FockVec
     for q in reversed(list(word)):
         out: FockVector = {}
         for lam, coeff in cur.items():
-            if twisted:
-                kappa = xi_on_partition(lam, q)
-                images = () if kappa is None else (kappa,)
-            else:
-                images = xi_prime_on_partition(lam, q)
+            if table is None or (images := table.get((rep, lam, q))) is None:
+                if twisted:
+                    kappa = xi_on_partition(lam, q)
+                    images = () if kappa is None else (kappa,)
+                else:
+                    images = xi_prime_on_partition(lam, q)
+                if table is not None:
+                    table[rep, lam, q] = images = tuple(images)
             for kappa in images:
                 new = out.get(kappa, 0) + coeff
                 if new:

@@ -72,46 +72,46 @@ class VerifyReport:
         }
 
 
-def _relation_suite(run: VerifyReport, rep: str, max_size: int) -> None:
+def _relation_suite(run: VerifyReport, rep: str, max_size: int, table: dict) -> None:
     """Square-zero, far commutation, and the three-index contraction."""
     for lam in enumerate_partitions(max_size):
         qmin, qmax = fock.support_bounds(lam)
         lo, hi = qmin - 2, qmax + 2
         # first[i] is generator i applied to lam; every law below starts from it
-        first = {i: fock.apply_word({lam: 1}, [i], rep) for i in range(lo, hi + 1)}
+        first = {i: fock.apply_word({lam: 1}, [i], rep, table) for i in range(lo, hi + 1)}
         for i in range(lo, hi + 1):
             run.check(
-                fock.apply_word(first[i], [i], rep) == {},
+                fock.apply_word(first[i], [i], rep, table) == {},
                 law="square-zero", rep=rep, partition=list(lam), i=i,
             )
             for pm in (1, -1):
                 run.check(
-                    fock.apply_word(first[i], [i, i + pm], rep) == first[i],
+                    fock.apply_word(first[i], [i, i + pm], rep, table) == first[i],
                     law="contraction", rep=rep, partition=list(lam), i=i, pm=pm,
                 )
             for j in range(i + 2, hi + 1):
                 run.check(
-                    fock.apply_word(first[j], [i], rep)
-                    == fock.apply_word(first[i], [j], rep),
+                    fock.apply_word(first[j], [i], rep, table)
+                    == fock.apply_word(first[i], [j], rep, table),
                     law="far-commutation", rep=rep, partition=list(lam), i=i, j=j,
                 )
 
 
-def _suite_tl_relations(run, max_size, window, rng):
-    _relation_suite(run, "xi", max_size)
+def _suite_tl_relations(run, max_size, window, rng, table):
+    _relation_suite(run, "xi", max_size, table)
 
 
-def _suite_tl_prime_relations(run, max_size, window, rng):
-    _relation_suite(run, "xi-prime", max_size)
+def _suite_tl_prime_relations(run, max_size, window, rng, table):
+    _relation_suite(run, "xi-prime", max_size, table)
 
 
-def _suite_single_term(run, max_size, window, rng):
+def _suite_single_term(run, max_size, window, rng, table):
     """Shape laws of the single-generator actions."""
     for lam in enumerate_partitions(max_size):
         qmin, qmax = fock.support_bounds(lam)
         for q in range(qmin - 2, qmax + 3):
             case = fock.classify_case(lam, q)
-            image = fock.apply_word({lam: 1}, [q], "xi")
+            image = fock.apply_word({lam: 1}, [q], "xi", table)
             run.check(
                 len(image) <= 1 and all(c == 1 for c in image.values()),
                 law="single-unit-term", partition=list(lam), q=q,
@@ -125,7 +125,7 @@ def _suite_single_term(run, max_size, window, rng):
                 run.check(
                     not image, law="case-bc-zero", partition=list(lam), q=q, case=case,
                 )
-            prime = fock.xi_prime_on_partition(lam, q)
+            prime = fock.apply_word({lam: 1}, [q], "xi-prime", table)
             expected = {}
             for term in (add_box(lam, q), remove_box(lam, q - 1)):
                 if term is not None:
@@ -136,20 +136,20 @@ def _suite_single_term(run, max_size, window, rng):
             )
 
 
-def _twisted_images(max_size: int) -> dict:
-    """The twisted image of every (lam, q) with |lam| <= max_size and q in the
-    support window of lam widened by two on each side."""
+def _twisted_images(max_size: int, table: dict) -> dict:
+    """The twisted image (or None) of every (lam, q) with |lam| <= max_size and
+    q in the support window of lam widened by two on each side."""
     images = {}
     for lam in enumerate_partitions(max_size):
         qmin, qmax = fock.support_bounds(lam)
         for q in range(qmin - 2, qmax + 3):
-            images[lam, q] = fock.xi_on_partition(lam, q)
+            images[lam, q] = next(iter(fock.apply_word({lam: 1}, [q], "xi", table)), None)
     return images
 
 
-def _suite_preserve(run, max_size, window, rng):
+def _suite_preserve(run, max_size, window, rng, table):
     """Staircase containment survives every nonzero twisted step."""
-    images = _twisted_images(max_size)
+    images = _twisted_images(max_size, table)
     for k in range(5):
         for (lam, q), kappa in images.items():
             if not strata.in_ideal(lam, k):
@@ -162,11 +162,11 @@ def _suite_preserve(run, max_size, window, rng):
                 )
 
 
-def _suite_remove_box(run, max_size, window, rng):
+def _suite_remove_box(run, max_size, window, rng, table):
     """Block multiplicities triggered by removable neighbours of a removed box:
     kappa sits in the index-q block of the box tensor of nu exactly when the
     twisted generator q sends nu to kappa."""
-    images = _twisted_images(max_size)
+    images = _twisted_images(max_size, table)
     for nu in enumerate_partitions(max_size):
         for q in removable_contents(nu):
             kappa = remove_box(nu, q)
@@ -194,7 +194,7 @@ def _suite_remove_box(run, max_size, window, rng):
         run.check(fock.tensor_rows(nu) == row, law="row-sum-consistency", nu=list(nu))
 
 
-def _suite_marking(run, max_size, window, rng):
+def _suite_marking(run, max_size, window, rng, table):
     for lam, boxes in REFERENCE_MARKINGS.items():
         run.check(
             weights.marking(lam) == boxes,
@@ -217,7 +217,7 @@ def _suite_marking(run, max_size, window, rng):
         )
 
 
-def _suite_d_roundtrip(run, max_size, window, rng):
+def _suite_d_roundtrip(run, max_size, window, rng, table):
     for subset, n, expected in (({0}, 1, (2,)), ({-3}, 1, (1, 1, 1)), ({1}, 1, (3,))):
         run.check(
             weights.partition_from_d_set(subset, n) == expected,
@@ -231,7 +231,7 @@ def _suite_d_roundtrip(run, max_size, window, rng):
         )
 
 
-def _suite_proplink(run, max_size, window, rng):
+def _suite_proplink(run, max_size, window, rng, table):
     for n in range(1, 9):
         run.check(
             weights.dominant_weight(staircase(n))
@@ -255,7 +255,7 @@ def _suite_proplink(run, max_size, window, rng):
             )
 
 
-def _suite_lemaddq(run, max_size, window, rng):
+def _suite_lemaddq(run, max_size, window, rng, table):
     """Adding a q-box that keeps the cell index moves one d-set value: q - 2
     becomes q - 1 past a marked box of content q - 1 (case i), otherwise q
     becomes q - 1 past a marked box of content q + 1 (case ii)."""
@@ -288,7 +288,7 @@ def _suite_lemaddq(run, max_size, window, rng):
         run.check(applicable > 0, law="surgery-cases-exist", max_size=max_size)
 
 
-def _suite_ideals(run, max_size, window, rng):
+def _suite_ideals(run, max_size, window, rng, table):
     for k in range(5):
         run.check(
             strata.in_ideal(staircase(k), k)
@@ -326,8 +326,8 @@ def _suite_ideals(run, max_size, window, rng):
             ok = contains(lam, staircase(k))
             if ok:
                 for cur, q in strata.box_addition_path(staircase(k), lam):
-                    step = fock.xi_on_partition(cur, q)
-                    if step is None or not strata.in_ideal(step, k):
+                    step = fock.apply_word({cur: 1}, [q], "xi", table)
+                    if not step or not strata.in_ideal(next(iter(step)), k):
                         ok = False
                         break
             run.check(ok, law="generation-path", k=k, partition=list(lam))
@@ -384,7 +384,7 @@ def _rewrite(word: list[int], rng: random.Random) -> list[int]:
     return w
 
 
-def _suite_fcs_basis(run, max_size, window, rng):
+def _suite_fcs_basis(run, max_size, window, rng, table):
     words = list(tl.fcs_words_in_range(-window, window, 6))
     by_diagram: dict = {}
     for w in words:
@@ -407,8 +407,8 @@ def _suite_fcs_basis(run, max_size, window, rng):
         du, dv = tl.word_to_diagram(u), tl.word_to_diagram(v)
         if du == dv:
             same = all(
-                fock.apply_word({lam: 1}, u, "xi-prime")
-                == fock.apply_word({lam: 1}, v, "xi-prime")
+                fock.apply_word({lam: 1}, u, "xi-prime", table)
+                == fock.apply_word({lam: 1}, v, "xi-prime", table)
                 for lam in lam_range
             )
             run.check(same, law="action-factors-through-diagrams", u=u, v=v)
@@ -417,7 +417,7 @@ def _suite_fcs_basis(run, max_size, window, rng):
         if du is None:
             run.check(
                 all(
-                    fock.apply_word({lam: 1}, u, "xi-prime") == {}
+                    fock.apply_word({lam: 1}, u, "xi-prime", table) == {}
                     for lam in lam_range[:20]
                 ),
                 law="zero-diagram-zero-action", u=u,
@@ -430,7 +430,7 @@ def _suite_fcs_basis(run, max_size, window, rng):
         run.check(lhs == rhs, law="associativity", words=[a, b, c])
 
 
-def _suite_faithfulness(run, max_size, window, rng):
+def _suite_faithfulness(run, max_size, window, rng, table):
     words = [w for w in tl.fcs_words_in_range(-window, window, 6) if w]
     expanded = [(w, tl.fcs_to_word(w)) for w in words]
     for w, word in expanded:
@@ -480,7 +480,7 @@ def _suite_faithfulness(run, max_size, window, rng):
             )
 
 
-def _suite_cli_examples(run, max_size, window, rng):
+def _suite_cli_examples(run, max_size, window, rng, table):
     """Replay the frozen command examples; a mismatch is a failure."""
     from .cli import CLI_EXAMPLES  # imported here: cli imports this module
 
@@ -509,18 +509,23 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
-def run_suite(suite: str, max_size: int = 10, window: int = 3, seed: int = 0) -> VerifyReport:
-    """Run one named suite (or all of them) and return its report."""
+def run_suite(
+    suite: str, max_size: int = 10, window: int = 3, seed: int = 0, *, table=None
+) -> VerifyReport:
+    """Run one named suite (or all of them) and return its report.  Generator
+    images are kept in `table` (see `fock.apply_word`), a new dict unless
+    given, so each is computed once per call; "all" shares one table."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     start = time.perf_counter()
     parameters = {"max_size": max_size, "window": window, "seed": seed}
     report = VerifyReport(suite=suite, parameters=parameters)
+    table = {} if table is None else table
     if suite == "all":
         report.parameters["suites"] = []
         for name in _SUITES:
-            report.add_part(run_suite(name, max_size=max_size, window=window, seed=seed))
+            report.add_part(run_suite(name, max_size, window, seed, table=table))
     else:
-        _SUITES[suite](report, max_size, window, random.Random(f"{seed}:{suite}"))
+        _SUITES[suite](report, max_size, window, random.Random(f"{seed}:{suite}"), table)
     report.elapsed = time.perf_counter() - start
     return report

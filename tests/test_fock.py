@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from peritl import fock
@@ -99,6 +101,24 @@ def test_apply_word_order_and_identity():
     assert apply_word({(): 1}, [0, 1], "xi") == {}
     with pytest.raises(ValueError):
         apply_word({(): 1}, [0], "bogus")
+
+
+def test_apply_word_with_a_table_matches_without():
+    # one table for every call and both representations: a stale entry or an
+    # image filed under the other representation changes some result
+    words = [()] + [w for n in (1, 2, 3) for w in itertools.product(range(-3, 4), repeat=n)]
+    table: dict = {}
+    for word in words:
+        for lam in enumerate_partitions(8):
+            for rep in fock.REPRESENTATIONS:
+                assert apply_word({lam: 1}, word, rep, table) == apply_word(
+                    {lam: 1}, word, rep
+                ), (word, lam, rep)
+    assert {rep for rep, _, _ in table} == set(fock.REPRESENTATIONS)
+    assert all(
+        type(images) is tuple and all(type(kappa) is tuple for kappa in images)
+        for images in table.values()
+    )
 
 
 def test_square_zero_sweep():

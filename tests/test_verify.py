@@ -1,5 +1,7 @@
 import cProfile
 import inspect
+import sys
+from collections import Counter
 
 import pytest
 
@@ -64,22 +66,65 @@ def test_operation_coverage_reports_a_miss():
     assert "tl.normalize" in missed and "cli.cmd_witness" in missed
 
 
-def test_relation_laws_catch_a_planted_fault(monkeypatch):
-    # send (1,) to (1, 1) under the index-1 generator; the true image is (2,)
+# the failures of tl-relations at (4, 3, 0) when (1,) goes to (1, 1) under the
+# index-1 generator; the true image is (2,)
+PLANTED_RELATION_FAILURES = [
+    {"law": "far-commutation", "rep": "xi", "partition": [1], "i": -2, "j": 1},
+    {"law": "far-commutation", "rep": "xi", "partition": [1], "i": -1, "j": 1},
+    {"law": "square-zero", "rep": "xi", "partition": [1], "i": 1},
+    {"law": "contraction", "rep": "xi", "partition": [1], "i": 1, "pm": 1},
+    {"law": "contraction", "rep": "xi", "partition": [3], "i": 1, "pm": -1},
+]
+
+
+def _plant_relation_fault(monkeypatch):
     true_xi = fock.xi_on_partition
 
     def planted(lam, q):
         return (1, 1) if (lam, q) == ((1,), 1) else true_xi(lam, q)
 
     monkeypatch.setattr(fock, "xi_on_partition", planted)
+
+
+def test_relation_laws_catch_a_planted_fault(monkeypatch):
+    _plant_relation_fault(monkeypatch)
     report = run_suite("tl-relations", 4, 3, 0)
-    assert report.failures == [
-        {"law": "far-commutation", "rep": "xi", "partition": [1], "i": -2, "j": 1},
-        {"law": "far-commutation", "rep": "xi", "partition": [1], "i": -1, "j": 1},
-        {"law": "square-zero", "rep": "xi", "partition": [1], "i": 1},
-        {"law": "contraction", "rep": "xi", "partition": [1], "i": 1, "pm": 1},
-        {"law": "contraction", "rep": "xi", "partition": [3], "i": 1, "pm": -1},
-    ]
+    assert report.failures == PLANTED_RELATION_FAILURES
+
+
+def test_no_image_outlives_a_run(monkeypatch):
+    # each run computes its images afresh: a clean run leaves nothing that
+    # hides a plant, and a planted run leaves nothing that outlives the plant
+    assert run_suite("tl-relations", 4, 3, 0).ok
+    with monkeypatch.context() as patch:
+        _plant_relation_fault(patch)
+        assert run_suite("tl-relations", 4, 3, 0).failures == PLANTED_RELATION_FAILURES
+    assert run_suite("tl-relations", 4, 3, 0).ok
+
+
+def test_verify_all_computes_each_image_once(monkeypatch):
+    # every image a suite asks apply_word for is computed once per run; the
+    # callers that pass no table (tensor_rows, and apply_word inside
+    # faithfulness_witness and the replayed `act` examples) compute their own
+    tabled, untabled = Counter(), Counter()
+
+    def counting(fn):
+        def wrapper(lam, q):
+            caller = sys._getframe(1)
+            if (caller.f_code is fock.apply_word.__code__
+                    and caller.f_locals.get("table") is not None):
+                tabled[fn.__name__, lam, q] += 1
+            else:
+                untabled[caller.f_code.co_name] += 1
+            return fn(lam, q)
+        return wrapper
+
+    for name in ("xi_on_partition", "xi_prime_on_partition"):
+        monkeypatch.setattr(fock, name, counting(getattr(fock, name)))
+    assert run_suite("all", 8, 2, 0).ok
+    assert {name for name, _, _ in tabled} == {"xi_on_partition", "xi_prime_on_partition"}
+    assert max(tabled.values()) == 1
+    assert set(untabled) == {"apply_word", "tensor_rows"}
 
 
 def _plant_xi_image(monkeypatch):
