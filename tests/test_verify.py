@@ -6,7 +6,8 @@ from collections import Counter
 import pytest
 
 import peritl
-from peritl import cli, fock, strata, weights
+from peritl import cli, fock, strata, tl, verify, weights
+from peritl.partitions import remove_box
 from peritl.verify import SUITE_NAMES, run_suite
 
 
@@ -155,6 +156,101 @@ def test_block_multiplicity_laws_catch_a_planted_fault(monkeypatch):
     assert report.failures == [
         {"law": "added-box-multiplicity", "nu": [2, 1], "q": 0},
     ]
+
+
+def _plant_xi_prime_image(monkeypatch, lam, q, image):
+    true_xi_prime = fock.xi_prime_on_partition
+
+    def planted(mu, p):
+        return dict(image) if (mu, p) == (lam, q) else true_xi_prime(mu, p)
+
+    monkeypatch.setattr(fock, "xi_prime_on_partition", planted)
+
+
+# the failures of fcs-basis at (5, 2, 0) when the plain index-0 generator
+# kills (2, 1); the true image is (2, 2) + (2,)
+PLANTED_FACTORIZATION_FAILURES = [
+    {"law": "action-factors-through-diagrams", "u": [1], "v": [1, 0, 1]},
+    {"law": "action-factors-through-diagrams", "u": [-1], "v": [-1, 0, -1]},
+    {"law": "action-factors-through-diagrams", "u": [1], "v": [1, 0, -1, 0, 1]},
+    {"law": "action-factors-through-diagrams", "u": [-1], "v": [-1, 0, -1]},
+    {"law": "action-factors-through-diagrams", "u": [0, -2], "v": [-2, 0]},
+]
+
+# ... and when it sends () to (1,) + (); the true image is (1,)
+PLANTED_ZERO_DIAGRAM_FAILURES = [
+    {"law": "action-factors-through-diagrams", "u": [0], "v": [0, 1, 0]},
+    {"law": "action-factors-through-diagrams", "u": [2, -2, 1, 1, -2, 1],
+     "v": [-1, 0, 0, 1]},
+    {"law": "action-factors-through-diagrams", "u": [0, 0],
+     "v": [0, -2, 3, -3, -1, 1, -1]},
+    {"law": "zero-diagram-zero-action", "u": [0, 0]},
+]
+
+
+def test_factorization_law_catches_a_planted_fault(monkeypatch):
+    _plant_xi_prime_image(monkeypatch, (2, 1), 0, {})
+    report = run_suite("fcs-basis", 5, 2, 0)
+    assert report.checked == 1106
+    assert report.failures == PLANTED_FACTORIZATION_FAILURES
+
+
+def test_zero_diagram_law_catches_a_planted_fault(monkeypatch):
+    _plant_xi_prime_image(monkeypatch, (), 0, {(1,): 1, (): 1})
+    report = run_suite("fcs-basis", 5, 2, 0)
+    assert report.checked == 1106
+    assert report.failures == PLANTED_ZERO_DIAGRAM_FAILURES
+
+
+def test_collision_law_catches_a_planted_fault(monkeypatch):
+    # removing the content-1 box of (2, 2, 1), which is not removable, gives
+    # (2, 1, 1) as if the content-0 box had gone: every bottom-sector reader
+    # (tl.bottom_sector and the faithfulness suite) sees the plant
+    def planted(lam, c):
+        return (2, 1, 1) if (lam, c) == ((2, 2, 1), 1) else remove_box(lam, c)
+
+    monkeypatch.setattr(tl, "remove_box", planted)
+    monkeypatch.setattr(verify, "remove_box", planted)
+    report = run_suite("faithfulness", 6, 2, 0)
+    assert report.checked == 3661
+    assert report.failures == [
+        {"law": "equal-length-bottom-collision", "partition": [2, 2, 1],
+         "words": [((2, 2),), ((1, 1),)]},
+        {"law": "equal-length-bottom-collision", "partition": [2, 2, 2],
+         "words": [((2, 2), (0, 0)), ((1, 1), (0, 0))]},
+        {"law": "equal-length-bottom-collision", "partition": [2, 2, 1, 1],
+         "words": [((2, 2), (-2, -2)), ((1, 1), (-2, -2))]},
+    ]
+
+
+def _killed(element, witness, error_terms):
+    return {"law": "nonzero-acts-nonzero", "element": element,
+            "error": f"nonzero element {{{error_terms}}} killed its witness {witness}"}
+
+
+# the failures of faithfulness at (5, 2, 0) when the plain index-0 generator
+# kills (1, 1), the witness of e_0; the true image is (1,)
+PLANTED_WITNESS_FAILURES = [
+    _killed([{"word": [[0, 0], [-1, -1], [-2, -2]], "coeff": -1}], (1, 1, 1, 1),
+            "((0, 0), (-1, -1), (-2, -2)): -1"),
+    _killed([{"word": [[0, 0]], "coeff": 3}], (1, 1), "((0, 0),): 3"),
+    _killed([{"word": [[0, 0], [-1, -1]], "coeff": -2}], (1, 1, 1),
+            "((0, 0), (-1, -1)): -2"),
+    _killed([{"word": [[0, 0], [-1, -1], [-2, -2]], "coeff": 3},
+             {"word": [[-1, -1]], "coeff": 1}], (1, 1, 1, 1),
+            "((-1, -1),): 1, ((0, 0), (-1, -1), (-2, -2)): 3"),
+    _killed([{"word": [[0, 0]], "coeff": -2}], (1, 1), "((0, 0),): -2"),
+    _killed([{"word": [[0, 0]], "coeff": -1}], (1, 1), "((0, 0),): -1"),
+    _killed([{"word": [[0, 0], [-1, -1]], "coeff": 1}, {"word": [[0, 0]], "coeff": -1}],
+            (1, 1, 1), "((0, 0),): -1, ((0, 0), (-1, -1)): 1"),
+]
+
+
+def test_witness_law_catches_a_planted_fault(monkeypatch):
+    _plant_xi_prime_image(monkeypatch, (1, 1), 0, {})
+    report = run_suite("faithfulness", 5, 2, 0)
+    assert report.checked == 2367
+    assert report.failures == PLANTED_WITNESS_FAILURES
 
 
 def test_surgery_law_catches_a_planted_fault(monkeypatch):
