@@ -460,13 +460,19 @@ def witness_partition(w: FcsWord) -> Partition:
     return check_partition(rows)
 
 
-def faithfulness_witness(x: TLElement) -> Optional[tuple[Partition, FockVector]]:
+def faithfulness_witness(
+    x: TLElement, table: Optional[dict] = None
+) -> Optional[tuple[Partition, FockVector]]:
     """A partition on which a nonzero element acts nonzero, with its image.
 
     Picks a monomial of maximal length (largest word on ties), evaluates the
     whole element on the witness partition of that monomial, and returns
     the pair.  None for the zero element; a zero image for a nonzero element
     would disprove faithfulness and raises.
+
+    `table`, when given, is passed to `apply_word`: the plain images of
+    single partitions are read from it and stored in it under the keys
+    ("xi-prime", lam, q).  The result is the same with or without it.
 
     >>> faithfulness_witness({((0, 0),): 1})
     ((1, 1), {(1,): 1})
@@ -480,7 +486,7 @@ def faithfulness_witness(x: TLElement) -> Optional[tuple[Partition, FockVector]]
     lam = witness_partition(lead)
     total: FockVector = {}
     for w, c in terms.items():
-        image = apply_word({lam: 1}, fcs_to_word(w), "xi-prime")
+        image = apply_word({lam: 1}, fcs_to_word(w), "xi-prime", table)
         for mu, k in image.items():
             new = total.get(mu, 0) + c * k
             if new:

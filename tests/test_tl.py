@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peritl.fock import apply_word
-from peritl.partitions import enumerate_partitions
+from peritl.partitions import check_partition, enumerate_partitions
 from peritl.tl import (
     IDENTITY,
     TLDiagram,
@@ -357,6 +357,21 @@ def test_faithfulness_witness():
         element = {w: rng.choice((-2, -1, 1, 2)) for w in chosen}
         lam, image = faithfulness_witness(element)
         assert image
+
+
+def test_faithfulness_witness_with_a_table_matches_without():
+    # one table for all elements, as the faithfulness suite shares its run's
+    # table; it only ever holds plain images of single partitions
+    rng = random.Random(15)
+    words = [w for w in fcs_words_in_range(-3, 3, 6) if w]
+    table = {}
+    for _ in range(200):
+        chosen = rng.sample(words, rng.randint(1, 4))
+        element = {w: rng.choice((-3, -2, -1, 1, 2, 3)) for w in chosen}
+        assert faithfulness_witness(element, table) == faithfulness_witness(element)
+    assert table
+    for rep, lam, q in table:
+        assert rep == "xi-prime" and lam == check_partition(lam) and type(q) is int
 
 
 def test_element_json_roundtrip():

@@ -7,7 +7,7 @@ import pytest
 
 import peritl
 from peritl import cli, fock, strata, tl, verify, weights
-from peritl.partitions import remove_box
+from peritl.partitions import enumerate_partitions, remove_box
 from peritl.verify import SUITE_NAMES, run_suite
 
 
@@ -104,10 +104,16 @@ def test_no_image_outlives_a_run(monkeypatch):
 
 
 def test_verify_all_computes_each_image_once(monkeypatch):
-    # every image a suite asks apply_word for is computed once per run; the
-    # callers that pass no table (tensor_rows, and apply_word inside
-    # faithfulness_witness and the replayed `act` examples) compute their own
+    # every image a suite asks apply_word for is computed once per run; only
+    # tensor_rows and the replayed command examples (`act`, and `witness`
+    # through faithfulness_witness), which pass no table as the commands do,
+    # compute their own
     tabled, untabled = Counter(), Counter()
+
+    def suite_of(frame):
+        while not frame.f_code.co_name.startswith("_suite_"):
+            frame = frame.f_back
+        return frame.f_code.co_name
 
     def counting(fn):
         def wrapper(lam, q):
@@ -116,7 +122,7 @@ def test_verify_all_computes_each_image_once(monkeypatch):
                     and caller.f_locals.get("table") is not None):
                 tabled[fn.__name__, lam, q] += 1
             else:
-                untabled[caller.f_code.co_name] += 1
+                untabled[suite_of(caller), caller.f_code.co_name] += 1
             return fn(lam, q)
         return wrapper
 
@@ -125,7 +131,25 @@ def test_verify_all_computes_each_image_once(monkeypatch):
     assert run_suite("all", 8, 2, 0).ok
     assert {name for name, _, _ in tabled} == {"xi_on_partition", "xi_prime_on_partition"}
     assert max(tabled.values()) == 1
-    assert set(untabled) == {"apply_word", "tensor_rows"}
+    assert set(untabled) == {
+        ("_suite_cli_examples", "apply_word"),
+        ("_suite_cli_examples", "tensor_rows"),
+        ("_suite_remove_box", "tensor_rows"),
+    }
+
+
+def test_trie_walk_matches_bottom_sector():
+    # the faithfulness suite reads every bottom sector off one walk of a
+    # suffix trie per partition; tl.bottom_sector is the oracle, None included
+    words = [tl.fcs_to_word(w) for w in tl.fcs_words_in_range(-3, 3, 6)]
+    trie = verify._suffix_trie(words)
+    live = 0
+    for lam in enumerate_partitions(12):
+        want = [(k, part) for k, word in enumerate(words)
+                if (part := tl.bottom_sector(word, lam)) is not None]
+        assert verify._bottom_sectors(trie, lam) == want, lam
+        live += len(want)
+    assert 0 < live < len(words) * len(list(enumerate_partitions(12)))
 
 
 def _plant_xi_image(monkeypatch):
