@@ -93,6 +93,22 @@ def test_relation_laws_catch_a_planted_fault(monkeypatch):
     assert report.failures == PLANTED_RELATION_FAILURES
 
 
+# the failures of tl-prime-relations at (4, 3, 0) when the plain index-1
+# generator drops the removed box of (1,); the true image is (2,) + ()
+PLANTED_PRIME_RELATION_FAILURES = [
+    {"law": "contraction", "rep": "xi-prime", "partition": [], "i": 0, "pm": 1},
+    {"law": "contraction", "rep": "xi-prime", "partition": [1], "i": 1, "pm": -1},
+    {"law": "contraction", "rep": "xi-prime", "partition": [1, 1], "i": 0, "pm": 1},
+]
+
+
+def test_prime_relation_laws_catch_a_planted_fault(monkeypatch):
+    _plant_xi_prime_image(monkeypatch, (1,), 1, {(2,): 1})
+    report = run_suite("tl-prime-relations", 4, 3, 0)
+    assert report.checked == 631
+    assert report.failures == PLANTED_PRIME_RELATION_FAILURES
+
+
 def test_no_image_outlives_a_run(monkeypatch):
     # each run computes its images afresh: a clean run leaves nothing that
     # hides a plant, and a planted run leaves nothing that outlives the plant
@@ -210,6 +226,37 @@ PLANTED_ZERO_DIAGRAM_FAILURES = [
      "v": [0, -2, 3, -3, -1, 1, -1]},
     {"law": "zero-diagram-zero-action", "u": [0, 0]},
 ]
+
+
+def test_distinct_diagrams_law_catches_a_planted_fault(monkeypatch):
+    # the enumeration lists one normal form twice; the failure names the word
+    # alone, however its diagram is composed
+    true_words = tl.fcs_words_in_range
+
+    def planted(lo, hi, max_len=None):
+        for w in true_words(lo, hi, max_len):
+            yield w
+            if w == ((1, 2), (0, 0)):
+                yield w
+
+    monkeypatch.setattr(tl, "fcs_words_in_range", planted)
+    report = run_suite("fcs-basis", 5, 2, 0)
+    assert report.checked == 1108
+    assert report.failures == [{"law": "distinct-diagrams", "word": ((1, 2), (0, 0))}]
+
+
+def test_roundtrip_law_catches_a_planted_fault(monkeypatch):
+    # normalize reads e_1 e_0 as e_0 e_1
+    true_normalize = tl.normalize
+
+    def planted(word):
+        word = list(word)
+        return ((0, 1),) if word == [1, 0] else true_normalize(word)
+
+    monkeypatch.setattr(tl, "normalize", planted)
+    report = run_suite("fcs-basis", 5, 2, 0)
+    assert report.checked == 1106
+    assert report.failures == [{"law": "normal-form-roundtrip", "word": ((1, 1), (0, 0))}]
 
 
 def test_factorization_law_catches_a_planted_fault(monkeypatch):
