@@ -72,11 +72,70 @@ class VerifyReport:
         }
 
 
+def _column_bits(n: int) -> int:
+    """Bits of a base above every entry of the matrix of a plain word of n
+    letters.  `apply_word` adds the input coefficient once per key of a
+    single-partition image, so a letter's matrix has 0/1 entries: at most one
+    1 per column for a twisted letter, at most two for a plain one (one added
+    and one removed box; the `plain-action-is-add-plus-remove` law of
+    `single-term` checks this on every (lam, q) of its sweep).  An entry of
+    the word's matrix counts paths and lies in [0, 2**n]."""
+    return n + 1
+
+
+# The relation laws are words of at most three letters, so with this base
+# the image of sum_k RELATION_BASE**k lam_k carries the image of each lam_k
+# as one base-RELATION_BASE digit per partition: two such words agree on the
+# sum exactly when they agree on every lam_k, and as no entry is negative a
+# word kills the sum exactly when it kills each lam_k.
+RELATION_BASE = 1 << _column_bits(3)
+
+
+def _relation_identities_hold(rep: str, windows: list, table: dict) -> bool:
+    """Whether every relation law holds on every (lam, lo, hi) of `windows`,
+    checked as operator identities on weighted vectors: square-zero and
+    both contractions at index i on the partitions whose window holds i, far
+    commutation of i + 2 <= j on those whose window holds both."""
+    by_end = sorted(windows, key=lambda w: -w[2])
+    top = by_end[0][2]
+    for i in range(min(lo for _, lo, _ in windows), top + 1):
+        # live: the windows that hold i, by decreasing end, so the windows
+        # that also hold j are a prefix that grows as j comes down to i
+        live = [(lam, hi) for lam, lo, hi in by_end if lo <= i <= hi]
+        x: dict = {}
+        weight = 1
+        for j in range(top, i - 1, -1):
+            while len(x) < len(live) and live[len(x)][1] >= j:
+                x[live[len(x)][0]] = weight
+                weight *= RELATION_BASE
+            if j >= i + 2 and x and (
+                fock.apply_word(x, [i, j], rep, table) != fock.apply_word(x, [j, i], rep, table)
+            ):
+                return False
+        first = fock.apply_word(x, [i], rep, table)
+        if fock.apply_word(first, [i], rep, table) or any(
+            fock.apply_word(first, [i, i + pm], rep, table) != first for pm in (1, -1)
+        ):
+            return False
+    return True
+
+
 def _relation_suite(run: VerifyReport, rep: str, max_size: int, table: dict) -> None:
-    """Square-zero, far commutation, and the three-index contraction."""
+    """Square-zero, far commutation, and the three-index contraction, on each
+    partition at every index of its support window widened by two.  When
+    the weighted identities hold, each law holds at every (lam, i[, j]), and
+    the checks are counted; otherwise the per-partition loop records each
+    failure."""
+    windows = []
     for lam in enumerate_partitions(max_size):
         qmin, qmax = fock.support_bounds(lam)
-        lo, hi = qmin - 2, qmax + 2
+        windows.append((lam, qmin - 2, qmax + 2))
+    if _relation_identities_hold(rep, windows, table):
+        for _, lo, hi in windows:
+            width = hi - lo + 1
+            run.checked += 3 * width + (width - 1) * (width - 2) // 2
+        return
+    for lam, lo, hi in windows:
         # first[i] is generator i applied to lam; every law below starts from it
         first = {i: fock.apply_word({lam: 1}, [i], rep, table) for i in range(lo, hi + 1)}
         for i in range(lo, hi + 1):
@@ -384,42 +443,58 @@ def _rewrite(word: list[int], rng: random.Random) -> list[int]:
     return w
 
 
+def _prefix_diagram(word, diagrams: dict):
+    """The diagram of `word`, the left fold of `tl.word_to_diagram` (None for
+    zero), read from `diagrams`: a dict from letter tuples to diagrams that
+    holds every prefix of each word it holds, starting at
+    {(): tl.IDENTITY}.  A missing prefix is composed once, with one generator
+    on the prefix one letter shorter, and stored."""
+    word = tuple(word)
+    n = len(word)
+    while word[:n] not in diagrams:
+        n -= 1
+    diag = diagrams[word[:n]]
+    for k in range(n, len(word)):
+        diag = diagrams[word[: k + 1]] = tl.diagram_product(diag, tl.generator_diagram(word[k]))
+    return diag
+
+
 def _suite_fcs_basis(run, max_size, window, rng, table):
     words = list(tl.fcs_words_in_range(-window, window, 6))
+    letters = [tl.fcs_to_word(w) for w in words]
+    # each normal form and each random word below reads its diagram off the
+    # diagrams of its prefixes, shared by every word of this call
+    diagrams: dict = {(): tl.IDENTITY}
     by_diagram: dict = {}
-    for w in words:
-        diag = tl.fcs_to_diagram(w)
+    for w, word in zip(words, letters):
+        diag = _prefix_diagram(word, diagrams)
         run.check(
             diag is not None and diag not in by_diagram,
             law="distinct-diagrams", word=w,
         )
         by_diagram[diag] = w
-    for w in words:
-        run.check(
-            tl.normalize(tl.fcs_to_word(w)) == w, law="normal-form-roundtrip", word=w,
-        )
-    # Each law acts once on one vector instead of once per partition.  A
-    # plain letter sends a partition to at most two partitions, each with
-    # coefficient one (one added and one removed box; the
-    # `plain-action-is-add-plus-remove` law of `single-term` checks this on
-    # every (lam, q) of its sweep), so entry (mu, lam) of the matrix of a
-    # word of length n counts paths and lies in [0, 2**n].  With
-    # B = 2**(n + 1) for the longer word, the base-B digits of the image of
-    # sum_k B**k lam_k are the columns of lam_range: the two images agree
-    # exactly when every column does.  The entries are never negative, so
-    # the image of the sum of the first 20 partitions is zero exactly when
+    for w, word in zip(words, letters):
+        run.check(tl.normalize(word) == w, law="normal-form-roundtrip", word=w)
+    # Each law acts once on one vector instead of once per partition.  With
+    # B = 2**_column_bits(n) for the longer word, the base-B digits of the
+    # image of sum_k B**k lam_k are the columns of lam_range: the two images
+    # agree exactly when every column does.  The entries are never negative,
+    # so the image of the sum of the first 20 partitions is zero exactly when
     # each of their images is.
     lam_range = list(enumerate_partitions(min(max_size, 10)))
     ones = dict.fromkeys(lam_range[:20], 1)
+    weighted: dict = {}  # shift -> sum_k 2**(shift * k) lam_k
     for _ in range(500):
         u = [rng.randint(-3, 3) for _ in range(rng.randint(1, 8))]
         v = _rewrite(u, rng) if rng.random() < 0.5 else [
             rng.randint(-3, 3) for _ in range(rng.randint(1, 8))
         ]
-        du, dv = tl.word_to_diagram(u), tl.word_to_diagram(v)
+        du, dv = _prefix_diagram(u, diagrams), _prefix_diagram(v, diagrams)
         if du == dv:
-            shift = max(len(u), len(v)) + 1  # B = 2**shift
-            x = {lam: 1 << shift * k for k, lam in enumerate(lam_range)}
+            shift = _column_bits(max(len(u), len(v)))
+            if shift not in weighted:
+                weighted[shift] = {lam: 1 << shift * k for k, lam in enumerate(lam_range)}
+            x = weighted[shift]
             same = (fock.apply_word(x, u, "xi-prime", table)
                     == fock.apply_word(x, v, "xi-prime", table))
             run.check(same, law="action-factors-through-diagrams", u=u, v=v)

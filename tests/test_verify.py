@@ -1,5 +1,7 @@
 import cProfile
 import inspect
+import itertools
+import random
 import sys
 from collections import Counter
 
@@ -379,3 +381,69 @@ def test_ideal_laws_catch_a_planted_fault(monkeypatch, lam, shift):
     assert [f for f in report.failures if f.get("partition") == list(lam)] == (
         PLANTED_CELL_FAULTS[lam, shift]
     )
+
+
+def test_prefix_diagram_matches_word_to_diagram():
+    # one dict for every word, so later words read earlier prefixes,
+    # zero prefixes included
+    diagrams = {(): tl.IDENTITY}
+    words = [word for n in range(6) for word in itertools.product(range(-3, 4), repeat=n)]
+    rng = random.Random(16)
+    words += [tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 10)))
+              for _ in range(2000)]
+    zero = 0
+    for word in words:
+        want = tl.word_to_diagram(word)
+        assert verify._prefix_diagram(word, diagrams) == want, word
+        zero += want is None
+    assert 0 < zero < len(words)
+    assert all(word[:n] in diagrams for word in words for n in range(len(word)))
+
+
+@pytest.mark.parametrize("suite", ["tl-relations", "tl-prime-relations"])
+def test_relation_checks_counted_as_the_loop_counts(monkeypatch, suite):
+    counted = [run_suite(suite, m, 3, 0) for m in range(9)]
+    monkeypatch.setattr(verify, "_relation_identities_hold", lambda *args: False)
+    looped = [run_suite(suite, m, 3, 0) for m in range(9)]
+    assert all(r.ok for r in counted + looped)
+    assert [r.checked for r in counted] == [r.checked for r in looped]
+
+
+# the failures of tl-prime-relations at (4, 3, 0) when the plain index-1
+# generator sends (1,) to an extra (1, 1) beside (2,) + ()
+PLANTED_EXTRA_IMAGE_FAILURES = [
+    {"law": "contraction", "rep": "xi-prime", "partition": [], "i": 0, "pm": 1},
+    {"law": "far-commutation", "rep": "xi-prime", "partition": [1], "i": -2, "j": 1},
+    {"law": "square-zero", "rep": "xi-prime", "partition": [1], "i": 1},
+    {"law": "contraction", "rep": "xi-prime", "partition": [1], "i": 1, "pm": -1},
+    {"law": "contraction", "rep": "xi-prime", "partition": [1, 1], "i": 0, "pm": 1},
+]
+
+
+def test_relation_base_catches_an_extra_image(monkeypatch):
+    _plant_xi_prime_image(monkeypatch, (1,), 1, {(2,): 1, (): 1, (1, 1): 1})
+    assert verify.RELATION_BASE == 16
+    assert run_suite("tl-prime-relations", 4, 3, 0).failures == PLANTED_EXTRA_IMAGE_FAILURES
+    # One planted image changes one column of one letter, and the true
+    # relation words have 0/1 entries, so base 2 already separates the
+    # columns here: no single extra or wrong image partition on partitions
+    # of at most 5 boxes passes at base 2 and fails at 16.  The base is set
+    # by the entries a faulty action could reach, not by these plants.
+    monkeypatch.setattr(verify, "RELATION_BASE", 2)
+    assert run_suite("tl-prime-relations", 4, 3, 0).failures == PLANTED_EXTRA_IMAGE_FAILURES
+
+
+def test_fcs_base_catches_an_extra_image(monkeypatch):
+    # the plain index-0 generator sends (3, 3) to an extra (4, 3); it kills it
+    _plant_xi_prime_image(monkeypatch, (3, 3), 0, {(4, 3): 1})
+    failures = [
+        {"law": "action-factors-through-diagrams", "u": [0], "v": [0, 1, 0]},
+        {"law": "action-factors-through-diagrams", "u": [0, -2], "v": [-2, 0]},
+    ]
+    assert verify._column_bits(8) == 9
+    assert run_suite("fcs-basis", 6, 2, 0).failures == failures
+    # As for the relation laws, base 2 separates the columns of these words
+    # under one planted image: the true matrices have 0/1 entries and no
+    # single extra or wrong image partition found a carry to hide in.
+    monkeypatch.setattr(verify, "_column_bits", lambda n: 1)
+    assert run_suite("fcs-basis", 6, 2, 0).failures == failures
