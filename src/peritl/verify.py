@@ -448,13 +448,16 @@ def _prefix_diagram(word, diagrams: dict):
     zero), read from `diagrams`: a dict from letter tuples to diagrams that
     holds every prefix of each word it holds, starting at
     {(): tl.IDENTITY}.  A missing prefix is composed once, with one generator
-    on the prefix one letter shorter, and stored."""
+    on the prefix one letter shorter, and stored; a word is zero from its
+    first zero prefix on, and its longer prefixes are not stored."""
     word = tuple(word)
     n = len(word)
     while word[:n] not in diagrams:
         n -= 1
     diag = diagrams[word[:n]]
     for k in range(n, len(word)):
+        if diag is None:
+            break
         diag = diagrams[word[: k + 1]] = tl.diagram_product(diag, tl.generator_diagram(word[k]))
     return diag
 

@@ -397,7 +397,7 @@ def test_prefix_diagram_matches_word_to_diagram():
         assert verify._prefix_diagram(word, diagrams) == want, word
         zero += want is None
     assert 0 < zero < len(words)
-    assert all(word[:n] in diagrams for word in words for n in range(len(word)))
+    assert all(word[:-1] in diagrams for word in diagrams if word)
 
 
 @pytest.mark.parametrize("suite", ["tl-relations", "tl-prime-relations"])
