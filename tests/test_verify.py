@@ -434,7 +434,7 @@ def test_relation_base_catches_an_extra_image(monkeypatch):
 
 
 def test_fcs_base_catches_an_extra_image(monkeypatch):
-    # the plain index-0 generator sends (3, 3) to an extra (4, 3); it kills it
+    # the plain index-0 generator sends (3, 3) to (4, 3); the true image is 0
     _plant_xi_prime_image(monkeypatch, (3, 3), 0, {(4, 3): 1})
     failures = [
         {"law": "action-factors-through-diagrams", "u": [0], "v": [0, 1, 0]},
@@ -442,8 +442,9 @@ def test_fcs_base_catches_an_extra_image(monkeypatch):
     ]
     assert verify._column_bits(8) == 9
     assert run_suite("fcs-basis", 6, 2, 0).failures == failures
-    # As for the relation laws, base 2 separates the columns of these words
-    # under one planted image: the true matrices have 0/1 entries and no
-    # single extra or wrong image partition found a carry to hide in.
+    # As for the relation laws, base 2 already separates the columns here:
+    # no extra or wrong image partition that adds or removes one box,
+    # searched at max-size 8, passes at base 2 and fails at the committed
+    # base.
     monkeypatch.setattr(verify, "_column_bits", lambda n: 1)
     assert run_suite("fcs-basis", 6, 2, 0).failures == failures
