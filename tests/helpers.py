@@ -8,7 +8,9 @@ d-set search, the domino-stripping loop, the full-vector bottom sector, the
 staircase-by-staircase cell index, the rescanning box-addition path and the
 box-set hook deleter are the library's earlier algorithms, kept as
 references for the direct constructions that replaced them.  The d-set
-surgery classifier restates the rule that `verify` checks inline.
+surgery classifier restates the rule that `verify` checks inline, and the
+per-partition relation loop restates the relation laws that `verify` checks
+as identities on weighted vectors.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import peritl
-from peritl.fock import apply_word
+from peritl.fock import apply_word, support_bounds
 from peritl.partitions import (
     Partition,
     RimHook,
@@ -35,6 +37,7 @@ from peritl.partitions import (
 )
 from peritl.strata import cell_index
 from peritl.tl import IDENTITY, diagram_product, fcs_to_word, interval_diagram
+from peritl.verify import VerifyReport
 from peritl.weights import d_set, d_tilde
 
 def child_env() -> dict:
@@ -362,3 +365,35 @@ def surgery_case(lam: Partition, q: int) -> tuple[str, int, int] | None:
     if q + 1 in tilde:
         return "ii", q, q - 1
     return None
+
+
+def oracle_relation_report(rep: str, max_size: int) -> VerifyReport:
+    """Square-zero, both contractions and far commutation, checked one
+    partition and one index at a time on every partition of at most
+    `max_size` boxes, at every index of its support window widened by two:
+    the report's checks and failure records, in the order a per-partition
+    loop meets them."""
+    run = VerifyReport(suite="relations", parameters={})
+    table: dict = {}
+    for lam in enumerate_partitions(max_size):
+        qmin, qmax = support_bounds(lam)
+        lo, hi = qmin - 2, qmax + 2
+        # first[i] is generator i applied to lam; every law below starts from it
+        first = {i: apply_word({lam: 1}, [i], rep, table) for i in range(lo, hi + 1)}
+        for i in range(lo, hi + 1):
+            run.check(
+                apply_word(first[i], [i], rep, table) == {},
+                law="square-zero", rep=rep, partition=list(lam), i=i,
+            )
+            for pm in (1, -1):
+                run.check(
+                    apply_word(first[i], [i, i + pm], rep, table) == first[i],
+                    law="contraction", rep=rep, partition=list(lam), i=i, pm=pm,
+                )
+            for j in range(i + 2, hi + 1):
+                run.check(
+                    apply_word(first[j], [i], rep, table)
+                    == apply_word(first[i], [j], rep, table),
+                    law="far-commutation", rep=rep, partition=list(lam), i=i, j=j,
+                )
+    return run

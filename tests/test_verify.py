@@ -2,6 +2,7 @@ import cProfile
 import inspect
 import itertools
 import random
+import re
 import sys
 from collections import Counter
 
@@ -9,8 +10,16 @@ import pytest
 
 import peritl
 from peritl import cli, fock, strata, tl, verify, weights
-from peritl.partitions import enumerate_partitions, remove_box
+from peritl.partitions import (
+    add_box,
+    addable_contents,
+    enumerate_partitions,
+    remove_box,
+    removable_contents,
+)
 from peritl.verify import SUITE_NAMES, run_suite
+
+from helpers import oracle_relation_report
 
 
 @pytest.mark.parametrize("suite", [s for s in SUITE_NAMES if s != "all"])
@@ -190,6 +199,26 @@ def test_closure_law_catches_a_planted_fault(monkeypatch):
     ]
 
 
+def test_closure_failures_come_k_by_k(monkeypatch):
+    # besides the plant above, (3, 2) goes to () under the index-0 generator
+    # (the true image is 0), leaving the ideals of k = 1 and 2: the records
+    # run over every (lam, q) for k = 1 before any for k = 2
+    true_xi = fock.xi_on_partition
+    plants = {((2, 1), 0): (1,), ((3, 2), 0): ()}
+
+    def planted(lam, q):
+        return plants[lam, q] if (lam, q) in plants else true_xi(lam, q)
+
+    monkeypatch.setattr(fock, "xi_on_partition", planted)
+    report = run_suite("preserve", 5, 2, 0)
+    assert report.checked == 444
+    assert report.failures == [
+        {"law": "ideal-closure", "k": 1, "partition": [3, 2], "q": 0, "image": []},
+        {"law": "ideal-closure", "k": 2, "partition": [2, 1], "q": 0, "image": [1]},
+        {"law": "ideal-closure", "k": 2, "partition": [3, 2], "q": 0, "image": []},
+    ]
+
+
 def test_block_multiplicity_laws_catch_a_planted_fault(monkeypatch):
     # tensor_rows reads the same planted action, so only the added box shows
     _plant_xi_image(monkeypatch)
@@ -198,6 +227,36 @@ def test_block_multiplicity_laws_catch_a_planted_fault(monkeypatch):
     assert report.failures == [
         {"law": "added-box-multiplicity", "nu": [2, 1], "q": 0},
     ]
+
+
+@pytest.mark.parametrize("q, law", [(-1, "removed-left-neighbour"), (1, "removed-right-neighbour")])
+def test_removed_neighbour_laws_catch_a_planted_fault(monkeypatch, q, law):
+    # the twisted generator q kills (2, 2), which should lose its content-0
+    # box, the box's neighbour of content q being removable after it;
+    # tensor_rows reads the same planted action, so its row stays consistent
+    true_xi = fock.xi_on_partition
+
+    def planted(lam, p):
+        return None if (lam, p) == ((2, 2), q) else true_xi(lam, p)
+
+    monkeypatch.setattr(fock, "xi_on_partition", planted)
+    report = run_suite("remove-box", 5, 2, 0)
+    assert report.checked == 82
+    assert report.failures == [{"law": law, "nu": [2, 2], "q": 0}]
+
+
+def test_row_sum_law_catches_a_planted_fault(monkeypatch):
+    # the box-tensor row of (2, 1) loses its last (lowest-index) entry
+    true_rows = fock.tensor_rows
+
+    def planted(nu):
+        rows = true_rows(nu)
+        return rows[:-1] if nu == (2, 1) else rows
+
+    monkeypatch.setattr(fock, "tensor_rows", planted)
+    report = run_suite("remove-box", 5, 2, 0)
+    assert report.checked == 82
+    assert report.failures == [{"law": "row-sum-consistency", "nu": [2, 1]}]
 
 
 def _plant_xi_prime_image(monkeypatch, lam, q, image):
@@ -400,15 +459,6 @@ def test_prefix_diagram_matches_word_to_diagram():
     assert all(word[:-1] in diagrams for word in diagrams if word)
 
 
-@pytest.mark.parametrize("suite", ["tl-relations", "tl-prime-relations"])
-def test_relation_checks_counted_as_the_loop_counts(monkeypatch, suite):
-    counted = [run_suite(suite, m, 3, 0) for m in range(9)]
-    monkeypatch.setattr(verify, "_relation_identities_hold", lambda *args: False)
-    looped = [run_suite(suite, m, 3, 0) for m in range(9)]
-    assert all(r.ok for r in counted + looped)
-    assert [r.checked for r in counted] == [r.checked for r in looped]
-
-
 # the failures of tl-prime-relations at (4, 3, 0) when the plain index-1
 # generator sends (1,) to an extra (1, 1) beside (2,) + ()
 PLANTED_EXTRA_IMAGE_FAILURES = [
@@ -448,3 +498,100 @@ def test_fcs_base_catches_an_extra_image(monkeypatch):
     # base.
     monkeypatch.setattr(verify, "_column_bits", lambda n: 1)
     assert run_suite("fcs-basis", 6, 2, 0).failures == failures
+
+
+RELATION_SUITES = {"xi": "tl-relations", "xi-prime": "tl-prime-relations"}
+
+
+@pytest.mark.parametrize("suite", ["tl-relations", "tl-prime-relations"])
+def test_relation_checks_counted_as_the_loop_counts(monkeypatch, suite):
+    counted = [run_suite(suite, m, 3, 0) for m in range(9)]
+    monkeypatch.setattr(verify, "_relation_identities_hold", lambda *args: False)
+    looped = [run_suite(suite, m, 3, 0) for m in range(9)]
+    assert all(r.ok for r in counted + looped)
+    assert [r.checked for r in counted] == [r.checked for r in looped]
+
+
+def _one_box_neighbours(lam):
+    return [add_box(lam, q) for q in addable_contents(lam)] + [
+        remove_box(lam, q) for q in removable_contents(lam)
+    ]
+
+
+def _relation_plants():
+    """(rep, lam, q, wrong image) for each twisted image of (lam, q) swapped
+    for zero or for a one-box neighbour of lam, and each plain image of
+    (lam, q) given an extra one-box neighbour of lam, on every partition of
+    at most 4 boxes and every index of its window widened by two."""
+    for lam in enumerate_partitions(4):
+        qmin, qmax = fock.support_bounds(lam)
+        neighbours = _one_box_neighbours(lam)
+        for q in range(qmin - 2, qmax + 3):
+            true = fock.xi_on_partition(lam, q)
+            for kappa in [None, *neighbours]:
+                if kappa != true:
+                    yield "xi", lam, q, kappa
+            plain = fock.xi_prime_on_partition(lam, q)
+            for kappa in neighbours:
+                if kappa not in plain:
+                    yield "xi-prime", lam, q, {**plain, kappa: 1}
+
+
+def test_relation_failures_are_the_loop_failures(monkeypatch):
+    # every planted image gives the relation suite the failure list of the
+    # per-partition loop, record for record and in the same order
+    plant: list = [None]
+    true_actions = {"xi": fock.xi_on_partition, "xi-prime": fock.xi_prime_on_partition}
+
+    def planted(name, rep):
+        def act(lam, q):
+            if plant[0] is not None and plant[0][:3] == (rep, lam, q):
+                return plant[0][3]
+            return true_actions[rep](lam, q)
+        monkeypatch.setattr(fock, name, act)
+
+    planted("xi_on_partition", "xi")
+    planted("xi_prime_on_partition", "xi-prime")
+    plants = list(_relation_plants())
+    silent = []
+    for plant[0] in plants:
+        rep = plant[0][0]
+        report = run_suite(RELATION_SUITES[rep], 5, 3, 0)
+        oracle = oracle_relation_report(rep, 5)
+        assert report.failures == oracle.failures, plant[0]
+        if oracle.ok:
+            silent.append(plant[0])
+    assert len(plants) == 680
+    # Only one plant breaks no relation law: the twisted generator 0 killing
+    # ().  No twisted generator sends a partition to (), and on () only the
+    # generator 0 acts, so a relation word meets that image only as its
+    # first letter on (), where a zero leaves both sides zero.
+    assert silent == [("xi", (), 0, None)]
+
+
+# The law names that verify records, read off its `law="..."` and
+# `"law": "..."` literals: a refactor that renames or drops a law changes no
+# clean stdout, so this list is where it shows.
+LAW_NAMES = {
+    "action-factors-through-diagrams", "added-box-multiplicity", "associativity",
+    "block-index-parity", "case-bc-zero", "cell-index-consistency",
+    "chain-strictness", "closed-form-vs-dictionary", "contraction", "d-roundtrip",
+    "d-set-is-shifted", "d-set-surgery", "diamond-count-is-cell-index",
+    "distinct-diagrams", "equal-length-bottom-collision", "far-commutation",
+    "frozen-example", "generation-path", "ideal-chain", "ideal-closure",
+    "j-set-difference", "j-zero-subset", "marked-contents-increase",
+    "nonzero-acts-nonzero", "normal-form-roundtrip",
+    "plain-action-is-add-plus-remove", "quasi-order", "reference-inversion",
+    "reference-marking", "removed-left-neighbour", "removed-right-neighbour",
+    "row-sum-consistency", "single-unit-term", "size-parity", "square-zero",
+    "staircase-cell", "staircase-weight", "summand-flags", "surgery-cases-exist",
+    "witness-has-bottom-sector", "zero-diagram-zero-action",
+}
+
+
+def test_law_names_are_pinned():
+    source = inspect.getsource(verify)
+    names = set(re.findall(r'law="([^"]+)"', source))
+    names |= set(re.findall(r'"law": "([^"]+)"', source))
+    assert len(LAW_NAMES) == 41
+    assert names == LAW_NAMES
