@@ -91,11 +91,14 @@ def _column_bits(n: int) -> int:
 RELATION_BASE = 1 << _column_bits(3)
 
 
-def _relation_identities_hold(rep: str, windows: list, table: dict) -> bool:
-    """Whether every relation law holds on every (lam, lo, hi) of `windows`,
-    checked as operator identities on weighted vectors: square-zero and
-    both contractions at index i on the partitions whose window holds i, far
-    commutation of i + 2 <= j on those whose window holds both."""
+def _relation_failures(rep: str, windows: list, table: dict):
+    """The relation laws that fail on the (lam, lo, hi) of `windows`, as
+    records {"law": ..., "i": ...[, "pm" or "j"]}, by increasing i:
+    square-zero, contraction at pm = +1 and -1, then far commutation by
+    increasing j.  Each law is one operator identity on a weighted vector:
+    square-zero and both contractions at index i on the partitions whose
+    window holds i, far commutation of i + 2 <= j on those whose window holds
+    both.  On a single window the vector is {lam: 1}."""
     by_end = sorted(windows, key=lambda w: -w[2])
     top = by_end[0][2]
     for i in range(min(lo for _, lo, _ in windows), top + 1):
@@ -104,6 +107,7 @@ def _relation_identities_hold(rep: str, windows: list, table: dict) -> bool:
         live = [(lam, hi) for lam, lo, hi in by_end if lo <= i <= hi]
         x: dict = {}
         weight = 1
+        far = []
         for j in range(top, i - 1, -1):
             while len(x) < len(live) and live[len(x)][1] >= j:
                 x[live[len(x)][0]] = weight
@@ -111,49 +115,33 @@ def _relation_identities_hold(rep: str, windows: list, table: dict) -> bool:
             if j >= i + 2 and x and (
                 fock.apply_word(x, [i, j], rep, table) != fock.apply_word(x, [j, i], rep, table)
             ):
-                return False
+                far.append({"law": "far-commutation", "i": i, "j": j})
         first = fock.apply_word(x, [i], rep, table)
-        if fock.apply_word(first, [i], rep, table) or any(
-            fock.apply_word(first, [i, i + pm], rep, table) != first for pm in (1, -1)
-        ):
-            return False
-    return True
+        if fock.apply_word(first, [i], rep, table):
+            yield {"law": "square-zero", "i": i}
+        for pm in (1, -1):
+            if fock.apply_word(first, [i, i + pm], rep, table) != first:
+                yield {"law": "contraction", "i": i, "pm": pm}
+        yield from reversed(far)
 
 
 def _relation_suite(run: VerifyReport, rep: str, max_size: int, table: dict) -> None:
     """Square-zero, far commutation, and the three-index contraction, on each
-    partition at every index of its support window widened by two.  When
-    the weighted identities hold, each law holds at every (lam, i[, j]), and
-    the checks are counted; otherwise the per-partition loop records each
-    failure."""
+    partition at every index of its support window widened by two, counted
+    one check per (lam, i[, j]).  The laws run once over all windows; when
+    one fails, they rerun on each window alone to write its records."""
     windows = []
     for lam in enumerate_partitions(max_size):
         qmin, qmax = fock.support_bounds(lam)
         windows.append((lam, qmin - 2, qmax + 2))
-    if _relation_identities_hold(rep, windows, table):
-        for _, lo, hi in windows:
-            width = hi - lo + 1
-            run.checked += 3 * width + (width - 1) * (width - 2) // 2
+        width = qmax - qmin + 5  # the indices of the window
+        run.checked += 3 * width + (width - 1) * (width - 2) // 2
+    if next(_relation_failures(rep, windows, table), None) is None:
         return
     for lam, lo, hi in windows:
-        # first[i] is generator i applied to lam; every law below starts from it
-        first = {i: fock.apply_word({lam: 1}, [i], rep, table) for i in range(lo, hi + 1)}
-        for i in range(lo, hi + 1):
-            run.check(
-                fock.apply_word(first[i], [i], rep, table) == {},
-                law="square-zero", rep=rep, partition=list(lam), i=i,
-            )
-            for pm in (1, -1):
-                run.check(
-                    fock.apply_word(first[i], [i, i + pm], rep, table) == first[i],
-                    law="contraction", rep=rep, partition=list(lam), i=i, pm=pm,
-                )
-            for j in range(i + 2, hi + 1):
-                run.check(
-                    fock.apply_word(first[j], [i], rep, table)
-                    == fock.apply_word(first[i], [j], rep, table),
-                    law="far-commutation", rep=rep, partition=list(lam), i=i, j=j,
-                )
+        for failure in _relation_failures(rep, [(lam, lo, hi)], table):
+            law = failure.pop("law")
+            run.failures.append({"law": law, "rep": rep, "partition": list(lam), **failure})
 
 
 def _suite_tl_relations(run, max_size, window, rng, table):
@@ -195,60 +183,56 @@ def _suite_single_term(run, max_size, window, rng, table):
             )
 
 
-def _twisted_images(max_size: int, table: dict) -> dict:
-    """The twisted image (or None) of every (lam, q) with |lam| <= max_size and
-    q in the support window of lam widened by two on each side."""
-    images = {}
-    for lam in enumerate_partitions(max_size):
-        qmin, qmax = fock.support_bounds(lam)
-        for q in range(qmin - 2, qmax + 3):
-            images[lam, q] = next(iter(fock.apply_word({lam: 1}, [q], "xi", table)), None)
-    return images
-
-
 def _suite_preserve(run, max_size, window, rng, table):
     """Staircase containment survives every nonzero twisted step."""
-    images = _twisted_images(max_size, table)
-    for k in range(5):
-        for (lam, q), kappa in images.items():
-            if not strata.in_ideal(lam, k):
-                continue
-            run.checked += 1
-            if kappa is not None and not strata.in_ideal(kappa, k):
-                run.failures.append(
-                    {"law": "ideal-closure", "k": k, "partition": list(lam), "q": q,
-                     "image": list(kappa)}
-                )
+    failures: list = [[] for _ in range(5)]  # by k, to record k by k
+    for lam in enumerate_partitions(max_size):
+        ks = [k for k in range(5) if strata.in_ideal(lam, k)]
+        qmin, qmax = fock.support_bounds(lam)
+        for q in range(qmin - 2, qmax + 3):
+            run.checked += len(ks)
+            for kappa in fock.apply_word({lam: 1}, [q], "xi", table):
+                for k in ks:
+                    if not strata.in_ideal(kappa, k):
+                        failures[k].append(
+                            {"law": "ideal-closure", "k": k, "partition": list(lam),
+                             "q": q, "image": list(kappa)}
+                        )
+    for records in failures:
+        run.failures.extend(records)
 
 
 def _suite_remove_box(run, max_size, window, rng, table):
     """Block multiplicities triggered by removable neighbours of a removed box:
     kappa sits in the index-q block of the box tensor of nu exactly when the
     twisted generator q sends nu to kappa."""
-    images = _twisted_images(max_size, table)
+
+    def image(nu, q):  # the twisted image of nu, None for zero
+        return next(iter(fock.apply_word({nu: 1}, [q], "xi", table)), None)
+
     for nu in enumerate_partitions(max_size):
         for q in removable_contents(nu):
             kappa = remove_box(nu, q)
             if remove_box(kappa, q - 1) is not None:
                 run.check(
-                    images[nu, q - 1] == kappa,
+                    image(nu, q - 1) == kappa,
                     law="removed-left-neighbour", nu=list(nu), q=q,
                 )
             if remove_box(kappa, q + 1) is not None:
                 run.check(
-                    images[nu, q + 1] == kappa,
+                    image(nu, q + 1) == kappa,
                     law="removed-right-neighbour", nu=list(nu), q=q,
                 )
         for q in addable_contents(nu):
             run.check(
-                images[nu, q] == add_box(nu, q),
+                image(nu, q) == add_box(nu, q),
                 law="added-box-multiplicity", nu=list(nu), q=q,
             )
         qmin, qmax = fock.support_bounds(nu)
         row = [
-            (q, images[nu, q])
+            (q, kappa)
             for q in range(qmax + 2, qmin - 3, -1)
-            if images[nu, q] is not None
+            if (kappa := image(nu, q)) is not None
         ]
         run.check(fock.tensor_rows(nu) == row, law="row-sum-consistency", nu=list(nu))
 
@@ -449,7 +433,9 @@ def _prefix_diagram(word, diagrams: dict):
     holds every prefix of each word it holds, starting at
     {(): tl.IDENTITY}.  A missing prefix is composed once, with one generator
     on the prefix one letter shorter, and stored; a word is zero from its
-    first zero prefix on, and its longer prefixes are not stored."""
+    first zero prefix on, and its longer prefixes are not stored.  Each
+    composed diagram is also stored under itself, so equal diagrams of
+    different words are one object."""
     word = tuple(word)
     n = len(word)
     while word[:n] not in diagrams:
@@ -458,7 +444,8 @@ def _prefix_diagram(word, diagrams: dict):
     for k in range(n, len(word)):
         if diag is None:
             break
-        diag = diagrams[word[: k + 1]] = tl.diagram_product(diag, tl.generator_diagram(word[k]))
+        diag = tl.diagram_product(diag, tl.generator_diagram(word[k]))
+        diag = diagrams[word[: k + 1]] = diagrams.setdefault(diag, diag)
     return diag
 
 
@@ -624,22 +611,23 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
-def run_suite(
-    suite: str, max_size: int = 10, window: int = 3, seed: int = 0, *, table=None
-) -> VerifyReport:
+def run_suite(suite: str, max_size: int = 10, window: int = 3, seed: int = 0) -> VerifyReport:
     """Run one named suite (or all of them) and return its report.  Generator
-    images are kept in `table` (see `fock.apply_word`), a new dict unless
-    given, so each is computed once per call; "all" shares one table."""
+    images are kept in one table per call (see `fock.apply_word`), so each is
+    computed once; "all" shares it across its suites."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+    return _run(suite, max_size, window, seed, {})
+
+
+def _run(suite: str, max_size: int, window: int, seed: int, table: dict) -> VerifyReport:
     start = time.perf_counter()
     parameters = {"max_size": max_size, "window": window, "seed": seed}
     report = VerifyReport(suite=suite, parameters=parameters)
-    table = {} if table is None else table
     if suite == "all":
         report.parameters["suites"] = []
         for name in _SUITES:
-            report.add_part(run_suite(name, max_size, window, seed, table=table))
+            report.add_part(_run(name, max_size, window, seed, table))
     else:
         _SUITES[suite](report, max_size, window, random.Random(f"{seed}:{suite}"), table)
     report.elapsed = time.perf_counter() - start

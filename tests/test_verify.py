@@ -456,7 +456,11 @@ def test_prefix_diagram_matches_word_to_diagram():
         assert verify._prefix_diagram(word, diagrams) == want, word
         zero += want is None
     assert 0 < zero < len(words)
-    assert all(word[:-1] in diagrams for word in diagrams if word)
+    # the letter-tuple keys are closed under prefixes, and equal diagrams are
+    # one object (each composed diagram is also a key, stored under itself)
+    prefixes = {word: diag for word, diag in diagrams.items() if isinstance(word, tuple)}
+    assert all(word[:-1] in prefixes for word in prefixes if word)
+    assert len({id(diag) for diag in prefixes.values()}) == len(set(prefixes.values()))
 
 
 # the failures of tl-prime-relations at (4, 3, 0) when the plain index-1
@@ -504,12 +508,14 @@ RELATION_SUITES = {"xi": "tl-relations", "xi-prime": "tl-prime-relations"}
 
 
 @pytest.mark.parametrize("suite", ["tl-relations", "tl-prime-relations"])
-def test_relation_checks_counted_as_the_loop_counts(monkeypatch, suite):
-    counted = [run_suite(suite, m, 3, 0) for m in range(9)]
-    monkeypatch.setattr(verify, "_relation_identities_hold", lambda *args: False)
-    looped = [run_suite(suite, m, 3, 0) for m in range(9)]
-    assert all(r.ok for r in counted + looped)
-    assert [r.checked for r in counted] == [r.checked for r in looped]
+def test_relation_checks_counted_as_the_loop_counts(suite):
+    # a clean run counts one check per (lam, i[, j]), as the per-partition
+    # loop of the oracle makes them
+    rep = "xi" if suite == "tl-relations" else "xi-prime"
+    for m in range(9):
+        report, oracle = run_suite(suite, m, 3, 0), oracle_relation_report(rep, m)
+        assert report.ok and oracle.ok
+        assert report.checked == oracle.checked, m
 
 
 def _one_box_neighbours(lam):
