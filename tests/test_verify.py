@@ -518,12 +518,6 @@ def test_relation_checks_counted_as_the_loop_counts(suite):
         assert report.checked == oracle.checked, m
 
 
-def _one_box_neighbours(lam):
-    return [add_box(lam, q) for q in addable_contents(lam)] + [
-        remove_box(lam, q) for q in removable_contents(lam)
-    ]
-
-
 def _relation_plants():
     """(rep, lam, q, wrong image) for each twisted image of (lam, q) swapped
     for zero or for a one-box neighbour of lam, and each plain image of
@@ -531,7 +525,8 @@ def _relation_plants():
     at most 4 boxes and every index of its window widened by two."""
     for lam in enumerate_partitions(4):
         qmin, qmax = fock.support_bounds(lam)
-        neighbours = _one_box_neighbours(lam)
+        neighbours = [add_box(lam, c) for c in addable_contents(lam)]
+        neighbours += [remove_box(lam, c) for c in removable_contents(lam)]
         for q in range(qmin - 2, qmax + 3):
             true = fock.xi_on_partition(lam, q)
             for kappa in [None, *neighbours]:
