@@ -427,15 +427,16 @@ def _rewrite(word: list[int], rng: random.Random) -> list[int]:
     return w
 
 
-def _prefix_diagram(word, diagrams: dict):
+def _prefix_diagram(word, diagrams: dict, interned: dict):
     """The diagram of `word`, the left fold of `tl.word_to_diagram` (None for
     zero), read from `diagrams`: a dict from letter tuples to diagrams that
     holds every prefix of each word it holds, starting at
     {(): tl.IDENTITY}.  A missing prefix is composed once, with one generator
     on the prefix one letter shorter, and stored; a word is zero from its
     first zero prefix on, and its longer prefixes are not stored.  Each
-    composed diagram is also stored under itself, so equal diagrams of
-    different words are one object."""
+    composed diagram is stored as its first equal in `interned` (a dict from
+    each diagram to itself), so equal diagrams of different words are one
+    object."""
     word = tuple(word)
     n = len(word)
     while word[:n] not in diagrams:
@@ -445,7 +446,7 @@ def _prefix_diagram(word, diagrams: dict):
         if diag is None:
             break
         diag = tl.diagram_product(diag, tl.generator_diagram(word[k]))
-        diag = diagrams[word[: k + 1]] = diagrams.setdefault(diag, diag)
+        diag = diagrams[word[: k + 1]] = interned.setdefault(diag, diag)
     return diag
 
 
@@ -455,9 +456,10 @@ def _suite_fcs_basis(run, max_size, window, rng, table):
     # each normal form and each random word below reads its diagram off the
     # diagrams of its prefixes, shared by every word of this call
     diagrams: dict = {(): tl.IDENTITY}
+    interned: dict = {}
     by_diagram: dict = {}
     for w, word in zip(words, letters):
-        diag = _prefix_diagram(word, diagrams)
+        diag = _prefix_diagram(word, diagrams, interned)
         run.check(
             diag is not None and diag not in by_diagram,
             law="distinct-diagrams", word=w,
@@ -479,7 +481,7 @@ def _suite_fcs_basis(run, max_size, window, rng, table):
         v = _rewrite(u, rng) if rng.random() < 0.5 else [
             rng.randint(-3, 3) for _ in range(rng.randint(1, 8))
         ]
-        du, dv = _prefix_diagram(u, diagrams), _prefix_diagram(v, diagrams)
+        du, dv = _prefix_diagram(u, diagrams, interned), _prefix_diagram(v, diagrams, interned)
         if du == dv:
             shift = _column_bits(max(len(u), len(v)))
             if shift not in weighted:
@@ -611,23 +613,24 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
-def run_suite(suite: str, max_size: int = 10, window: int = 3, seed: int = 0) -> VerifyReport:
+def run_suite(
+    suite: str, max_size: int = 10, window: int = 3, seed: int = 0, *, table=None
+) -> VerifyReport:
     """Run one named suite (or all of them) and return its report.  Generator
-    images are kept in one table per call (see `fock.apply_word`), so each is
-    computed once; "all" shares it across its suites."""
+    images are kept in `table` (see `fock.apply_word`), a new dict unless
+    given, so each is computed once per call; "all" shares one table, and
+    runs each suite through this function, so a wrapper of `run_suite` sees
+    every suite."""
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    return _run(suite, max_size, window, seed, {})
-
-
-def _run(suite: str, max_size: int, window: int, seed: int, table: dict) -> VerifyReport:
     start = time.perf_counter()
     parameters = {"max_size": max_size, "window": window, "seed": seed}
     report = VerifyReport(suite=suite, parameters=parameters)
+    table = {} if table is None else table
     if suite == "all":
         report.parameters["suites"] = []
         for name in _SUITES:
-            report.add_part(_run(name, max_size, window, seed, table))
+            report.add_part(run_suite(name, max_size, window, seed, table=table))
     else:
         _SUITES[suite](report, max_size, window, random.Random(f"{seed}:{suite}"), table)
     report.elapsed = time.perf_counter() - start

@@ -1,10 +1,12 @@
 import cProfile
+import importlib.util
 import inspect
 import itertools
 import random
 import re
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +51,28 @@ def test_all_aggregates():
     names = [entry["suite"] for entry in report.parameters["suites"]]
     assert names == [s for s in SUITE_NAMES if s != "all"]
     assert report.checked == sum(e["checked"] for e in report.parameters["suites"])
+
+
+def test_traced_all_keeps_a_span_per_suite(monkeypatch):
+    # bench/tracer.py times each suite of a traced verify-sweep by wrapping
+    # the public run_suite, so "all" must run its suites through that name
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    )
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    for name, module in list(sys.modules.items()):
+        if name == "peritl" or name.startswith("peritl."):
+            for attr, value in list(vars(module).items()):
+                if inspect.isfunction(value):
+                    monkeypatch.setattr(module, attr, value)  # unwrapped after the test
+    tracer = tracer_module.Tracer()
+    tracer.install({})
+    report = verify.run_suite("all", max_size=5, window=2, seed=0)
+    suites = [s for s in SUITE_NAMES if s != "all"]
+    assert [span["name"] for span in tracer.spans] == [f"verify.{s}" for s in ["all", *suites]]
+    assert all(span["parent"] == 0 and span["checks"] > 0 for span in tracer.spans[1:])
+    assert sum(span["checks"] for span in tracer.spans[1:]) == report.checked
 
 
 def missed_operations(suite: str) -> list[str]:
@@ -445,7 +469,7 @@ def test_ideal_laws_catch_a_planted_fault(monkeypatch, lam, shift):
 def test_prefix_diagram_matches_word_to_diagram():
     # one dict for every word, so later words read earlier prefixes,
     # zero prefixes included
-    diagrams = {(): tl.IDENTITY}
+    diagrams, interned = {(): tl.IDENTITY}, {}
     words = [word for n in range(6) for word in itertools.product(range(-3, 4), repeat=n)]
     rng = random.Random(16)
     words += [tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 10)))
@@ -453,14 +477,12 @@ def test_prefix_diagram_matches_word_to_diagram():
     zero = 0
     for word in words:
         want = tl.word_to_diagram(word)
-        assert verify._prefix_diagram(word, diagrams) == want, word
+        assert verify._prefix_diagram(word, diagrams, interned) == want, word
         zero += want is None
     assert 0 < zero < len(words)
-    # the letter-tuple keys are closed under prefixes, and equal diagrams are
-    # one object (each composed diagram is also a key, stored under itself)
-    prefixes = {word: diag for word, diag in diagrams.items() if isinstance(word, tuple)}
-    assert all(word[:-1] in prefixes for word in prefixes if word)
-    assert len({id(diag) for diag in prefixes.values()}) == len(set(prefixes.values()))
+    assert all(word[:-1] in diagrams for word in diagrams if word)
+    # equal diagrams of different words are one object
+    assert len({id(diag) for diag in diagrams.values()}) == len(set(diagrams.values()))
 
 
 # the failures of tl-prime-relations at (4, 3, 0) when the plain index-1
