@@ -292,6 +292,77 @@ def _plant_xi_prime_image(monkeypatch, lam, q, image):
     monkeypatch.setattr(fock, "xi_prime_on_partition", planted)
 
 
+def _plant_xi_at(monkeypatch, lam, q, image):
+    true_xi = fock.xi_on_partition
+
+    def planted(mu, p):
+        return image if (mu, p) == (lam, q) else true_xi(mu, p)
+
+    monkeypatch.setattr(fock, "xi_on_partition", planted)
+
+
+def _plant_two_terms(monkeypatch):
+    # the twisted index-1 generator sends (1,) to two terms; the true image
+    # is the single term (2,)
+    true_apply = fock.apply_word
+
+    def planted(vec, word, rep="xi", table=None):
+        if (vec, list(word), rep) == ({(1,): 1}, [1], "xi"):
+            return {(2,): 1, (1, 1): 1}
+        return true_apply(vec, word, rep, table)
+
+    monkeypatch.setattr(fock, "apply_word", planted)
+
+
+def _plant_block_index(monkeypatch):
+    # one high on (2,), so (1, 1), whose transpose it is, fails as well
+    true_block = strata.block_index
+
+    def planted(lam):
+        return true_block(lam) + (lam == (2,))
+
+    monkeypatch.setattr(strata, "block_index", planted)
+
+
+# one planted fault per shape law of the single-generator actions and for
+# the block index, with the suite at (4, 2, 0) and its checks and failures
+PLANTED_SHAPE_FAULTS = {
+    # (1,) has a removable 0-box (case B), so its index-0 image must be zero
+    "case-bc-zero": (
+        lambda mp: _plant_xi_at(mp, (1,), 0, (2,)), "single-term", 307,
+        [{"law": "case-bc-zero", "partition": [1], "q": 0, "case": "B"}],
+    ),
+    # the index-1 image of (1,) is (2,); (3,) differs from (1,) by an even size
+    "size-parity": (
+        lambda mp: _plant_xi_at(mp, (1,), 1, (3,)), "single-term", 306,
+        [{"law": "size-parity", "partition": [1], "q": 1, "image": [3]}],
+    ),
+    "single-unit-term": (
+        _plant_two_terms, "single-term", 307,
+        [{"law": "single-unit-term", "partition": [1], "q": 1}],
+    ),
+    # the plain index-1 image of (1,) loses its removed-box term ()
+    "plain-action-is-add-plus-remove": (
+        lambda mp: _plant_xi_prime_image(mp, (1,), 1, {(2,): 1}), "single-term", 306,
+        [{"law": "plain-action-is-add-plus-remove", "partition": [1], "q": 1}],
+    ),
+    "block-index-parity": (
+        _plant_block_index, "ideals", 306,
+        [{"law": "block-index-parity", "partition": [2]},
+         {"law": "block-index-parity", "partition": [1, 1]}],
+    ),
+}
+
+
+@pytest.mark.parametrize("law", list(PLANTED_SHAPE_FAULTS))
+def test_shape_laws_catch_a_planted_fault(monkeypatch, law):
+    plant, suite, checked, failures = PLANTED_SHAPE_FAULTS[law]
+    plant(monkeypatch)
+    report = run_suite(suite, 4, 2, 0)
+    assert report.checked == checked
+    assert report.failures == failures
+
+
 # the failures of fcs-basis at (5, 2, 0) when the plain index-0 generator
 # kills (2, 1); the true image is (2, 2) + (2,)
 PLANTED_FACTORIZATION_FAILURES = [
