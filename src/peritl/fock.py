@@ -5,14 +5,18 @@ A vector is a dict mapping partition tuples to nonzero integers.  The plain
 ("xi-prime") action of the generator of index q adds a box of content q and
 removes a box of content q-1.  The twisted ("xi") action sends each partition
 to at most one partition, by a five-way case split on how the content-q
-diagonal meets the border of the diagram:
+diagonal meets the border of the diagram.  The split reads two bits of the
+Maya diagram (`classify_case`), bead or gap at positions q-1 and q:
 
-  A - an addable q-box exists: add it;
-  B - a removable q-box exists: kill the partition;
-  C - no box has content in {q-1, q, q+1}: kill the partition;
-  D - the rim q-box has a box to its right but none below: delete the
-      smallest removable balanced rim hook starting at q+1 (zero if none);
-  E - mirror of D: delete the smallest balanced hook ending at q-1.
+  A - bead, gap: an addable q-box exists: add it;
+  B - gap, bead: a removable q-box exists: kill the partition;
+  C - otherwise, q < -len(lam) or q > lam_1: no box has content in
+      {q-1, q, q+1}: kill the partition;
+  D - gap, gap: the rim q-box has a box to its right but none below:
+      delete the smallest removable balanced rim hook starting at q+1
+      (zero if none);
+  E - bead, bead: mirror of D: delete the smallest balanced hook ending
+      at q-1.
 """
 from __future__ import annotations
 
@@ -21,26 +25,27 @@ from typing import Iterable, Optional
 from .partitions import (
     Partition,
     add_box,
-    box_in,
-    has_content,
     delete_hook,
     minimal_balanced_hook_ending,
     minimal_balanced_hook_starting,
     remove_box,
-    rim_box,
 )
 
 FockVector = dict[Partition, int]
 
-CASE_TAGS = ("A", "B", "C", "D", "E")
 REPRESENTATIONS = ("xi", "xi-prime")
 
 
 def classify_case(lam: Partition, q: int) -> str:
     """Return the case tag "A".."E" for the pair (lam, q).
 
-    The five predicates are computed independently and exactly one must
-    hold; anything else is a falsification of the case analysis and raises.
+    The split reads the Maya diagram of lam: a bead at lam_i - i for each row
+    i (from 1) and at every position below -len(lam), a gap elsewhere.  A box
+    of content q is addable exactly when q - 1 holds a bead and q a gap, and
+    removable exactly when q - 1 holds a gap and q a bead (James & Kerber,
+    *The Representation Theory of the Symmetric Group*, 1981, ch. 2).  Past
+    those, no box has a content in {q-1, q, q+1} when q < -len(lam) or
+    q > lam_1 (case C); otherwise a gap at both is case D, a bead at both E.
 
     >>> classify_case((3, 1), 0)
     'A'
@@ -49,25 +54,14 @@ def classify_case(lam: Partition, q: int) -> str:
     >>> classify_case((1, 1), 0)
     'E'
     """
-    a = add_box(lam, q) is not None
-    b = remove_box(lam, q) is not None
-    c = not a and not (
-        has_content(lam, q - 1) or has_content(lam, q) or has_content(lam, q + 1)
-    )
-    d = e = False
-    box = rim_box(lam, q)
-    if box is not None:
-        i, j = box
-        right = box_in(lam, i, j + 1)
-        below = box_in(lam, i + 1, j)
-        d = right and not below
-        e = below and not right
-    if a + b + c + d + e != 1:
-        tags = [t for t, flag in zip(CASE_TAGS, (a, b, c, d, e)) if flag]
-        raise RuntimeError(
-            f"case split failed for lam={lam}, q={q}: matched {tags or 'nothing'}"
-        )
-    return "A" if a else "B" if b else "C" if c else "D" if d else "E"
+    n = len(lam)
+    beads = {part - i for i, part in enumerate(lam, 1)}
+    left, right = (p < -n or p in beads for p in (q - 1, q))
+    if left != right:
+        return "A" if left else "B"
+    if q < -n or q > (lam[0] if lam else 0):
+        return "C"
+    return "E" if left else "D"
 
 
 def xi_on_partition(lam: Partition, q: int) -> Optional[Partition]:

@@ -141,22 +141,6 @@ def removable_contents(lam: Partition) -> list[int]:
     return out
 
 
-def rim_box(lam: Partition, q: int) -> Optional[Box]:
-    """The unique rim box of content q, or None.
-
-    A box (i, j) is on the rim when (i+1, j+1) is not in the diagram; every
-    content present in the diagram is realized by exactly one rim box.
-    """
-    if not has_content(lam, q):
-        return None
-    n = len(lam)
-    for i in range(1, n + 1):
-        lo = max(1, lam[i] if i < n else 0)
-        if lo - i <= q <= lam[i - 1] - i:
-            return (i, q + i)
-    raise RuntimeError(f"rim walk missed content {q} of {lam}")
-
-
 def rim_boxes(lam: Partition) -> list[Box]:
     """All rim boxes, ordered by increasing content; one per content.
 
@@ -260,11 +244,11 @@ def two_core(lam: Partition) -> tuple[Partition, int]:
 
     On a 2-runner abacus the beads sit at b_i = lam_i + (n - 1 - i), with
     n = len(lam).  Removing a domino moves one bead two places down its
-    runner, so the core pushes all beads down: with o odd beads, its beta-set
-    is {0, 2, ..., 2(n - o - 1)} together with {1, 3, ..., 2o - 1}.  Read
-    decreasingly as beta_0 > beta_1 > ..., part i of the core is
-    beta_i - (n - 1 - i); zero parts are dropped.  The core is always a
-    staircase, returned together with its index.
+    runner, so the core pushes all beads down: with o odd beads and e = n - o
+    even ones, its beta-set is {0, 2, ..., 2(e - 1)} together with
+    {1, 3, ..., 2o - 1}.  Past the positions both runners fill, the longer
+    runner's beads stand one gap apart, so the core is the staircase of
+    index e - o - 1 when e > o and of index o - e otherwise.
 
     >>> two_core((3, 1))
     ((), 0)
@@ -273,12 +257,9 @@ def two_core(lam: Partition) -> tuple[Partition, int]:
     """
     n = len(lam)
     odd = sum((p + n - 1 - i) % 2 for i, p in enumerate(lam))
-    beta = sorted([*range(0, 2 * (n - odd), 2), *range(1, 2 * odd, 2)], reverse=True)
-    core = tuple(b - (n - 1 - i) for i, b in enumerate(beta) if b > n - 1 - i)
-    k = len(core)
-    if core != staircase(k):
-        raise RuntimeError(f"2-core {core} of {lam} is not a staircase")
-    return core, k
+    even = n - odd
+    k = max(even - odd - 1, odd - even)
+    return staircase(k), k
 
 
 def transpose(lam: Partition) -> Partition:

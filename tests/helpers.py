@@ -194,35 +194,40 @@ def oracle_rim_hook(lam: Partition, c1: int, c2: int) -> RimHook | None:
     )
 
 
-def oracle_xi(lam: Partition, q: int) -> Partition | None:
-    """Recompute the twisted action from the raw case split on box sets."""
-    addable = oracle_addable(lam)
-    removable = oracle_removable(lam)
-    if q in addable:
-        return partition_of_boxes(boxes_of(lam) | {addable[q]})
-    if q in removable:
-        return None
-    contents = {j - i for (i, j) in boxes_of(lam)}
-    if not contents & {q - 1, q, q + 1}:
-        return None
-    rim = [
-        (i, j)
-        for (i, j) in boxes_of(lam)
-        if j - i == q and (i + 1, j + 1) not in boxes_of(lam)
-    ]
+def oracle_case(lam: Partition, q: int) -> str:
+    """The case tag "A".."E" of (lam, q), from the raw case split on box sets:
+    an addable q-box, a removable one, no box of content q-1, q or q+1, or
+    the rim q-box with a box to its right (D) or below it (E)."""
+    if q in oracle_addable(lam):
+        return "A"
+    if q in oracle_removable(lam):
+        return "B"
+    boxes = boxes_of(lam)
+    if not {j - i for (i, j) in boxes} & {q - 1, q, q + 1}:
+        return "C"
+    rim = [(i, j) for (i, j) in boxes if j - i == q and (i + 1, j + 1) not in boxes]
     assert len(rim) == 1
     i, j = rim[0]
-    boxes = boxes_of(lam)
     right = (i, j + 1) in boxes
     below = (i + 1, j) in boxes
     assert right != below
-    if right:
+    return "D" if right else "E"
+
+
+def oracle_xi(lam: Partition, q: int) -> Partition | None:
+    """Recompute the twisted action from the raw case split on box sets."""
+    case = oracle_case(lam, q)
+    if case == "A":
+        return partition_of_boxes(boxes_of(lam) | {oracle_addable(lam)[q]})
+    if case in ("B", "C"):
+        return None
+    if case == "D":
         skew = oracle_min_balanced(lam, q + 1, "start")
     else:
         skew = oracle_min_balanced(lam, q - 1, "end")
     if skew is None:
         return None
-    return partition_of_boxes(boxes - skew)
+    return partition_of_boxes(boxes_of(lam) - skew)
 
 
 @st.composite

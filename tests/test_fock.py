@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from peritl import fock
 from peritl.fock import (
@@ -21,7 +22,7 @@ from peritl.partitions import (
     staircase,
 )
 
-from helpers import oracle_xi
+from helpers import mid_partitions, oracle_case, oracle_xi
 
 
 def test_classify_case_examples():
@@ -32,22 +33,29 @@ def test_classify_case_examples():
     assert classify_case((), 3) == "C"
     assert classify_case((2,), 1) == "B"
     assert classify_case((1,), 5) == "C"
+    # the window's edges: below -len(lam) and above lam_1 nothing acts, at
+    # -len(lam) and lam_1 a box is addable
+    for lam in ((3, 1), (2, 2), (1, 1, 1), (4,)):
+        n, top = len(lam), lam[0]
+        assert classify_case(lam, -n - 1) == "C"
+        assert classify_case(lam, -n) == "A"
+        assert classify_case(lam, top) == "A"
+        assert classify_case(lam, top + 1) == "C"
 
 
-def test_classify_case_total_and_exclusive():
-    # the case split must produce exactly one tag everywhere; classify_case
-    # raises internally otherwise, so a plain sweep is the assertion
-    for lam in enumerate_partitions(12):
+def test_classify_case_against_box_set_oracle():
+    for lam in enumerate_partitions(14):
         qmin, qmax = support_bounds(lam)
         for q in range(qmin - 3, qmax + 4):
-            assert classify_case(lam, q) in "ABCDE"
+            assert classify_case(lam, q) == oracle_case(lam, q), (lam, q)
 
 
-def test_classify_case_raises_on_a_double_match(monkeypatch):
-    # (), 0 is case A; a planted removable 0-box makes it match B as well
-    monkeypatch.setattr(fock, "remove_box", lambda lam, q: ())
-    with pytest.raises(RuntimeError, match=r"matched \['A', 'B'\]"):
-        classify_case((), 0)
+@given(mid_partitions())
+@settings(max_examples=100, deadline=None)
+def test_classify_case_against_box_set_oracle_mid_scale(lam):
+    qmin, qmax = support_bounds(lam)
+    for q in range(qmin - 3, qmax + 4):
+        assert classify_case(lam, q) == oracle_case(lam, q), q
 
 
 def test_xi_examples():
