@@ -358,6 +358,14 @@ def _found(argv, stdout, reason):
      '{"n":2,"omega":[99999999999999999997,-2]}\n'),
     (["act", "--rep", "xi-prime", "--word", "5",
       "--partition", "100000000000000000000,2"], 0, "[]\n"),
+    # one twisted letter in each case that deletes no hook: A, B and C
+    (["act", "--rep", "xi", "--word", "100000000000000000000",
+      "--partition", "100000000000000000000,1"], 0,
+     '[{"partition":[100000000000000000001,1],"coeff":1}]\n'),
+    (["act", "--rep", "xi", "--word", "99999999999999999999",
+      "--partition", "100000000000000000000,1"], 0, "[]\n"),
+    (["act", "--rep", "xi", "--word", "-3",
+      "--partition", "100000000000000000000,1"], 0, "[]\n"),
     # 10**12 letters cannot be expanded: a prompt domain error, not a long run
     (["witness", "--element", '[{"word":[[0,1000000000000]],"coeff":1}]'], 3, ""),
     _found(["act", "--rep", "xi", "--word", "5", "--partition", "3000000,2"], "[]\n",
@@ -370,7 +378,8 @@ def _found(argv, stdout, reason):
            "rim_hook lists every rim box of the row: MemoryError, exit 3, after about 1 s"),
     _found(["normalize", "--word", "0,1000000"], "[[1000000,1000000],[0,0]]\n",
            "diagram composition lists every point of the letters' span: exit 3"),
-], ids=["cell", "weight", "act-xi-prime", "witness", "act-xi-row", "act-xi-square",
+], ids=["cell", "weight", "act-xi-prime", "act-xi-add", "act-xi-removable",
+        "act-xi-outside", "witness", "act-xi-row", "act-xi-square",
         "act-xi-long-row", "normalize-span"])
 def test_cost_follows_input_size_not_magnitude(argv, code, stdout):
     # only ever run under both caps: several of these hang or fill memory uncapped
