@@ -113,13 +113,17 @@ PLANTED_RELATION_FAILURES = [
 ]
 
 
-def _plant_relation_fault(monkeypatch):
+def _plant_xi_at(monkeypatch, lam, q, image):
     true_xi = fock.xi_on_partition
 
-    def planted(lam, q):
-        return (1, 1) if (lam, q) == ((1,), 1) else true_xi(lam, q)
+    def planted(mu, p):
+        return image if (mu, p) == (lam, q) else true_xi(mu, p)
 
     monkeypatch.setattr(fock, "xi_on_partition", planted)
+
+
+def _plant_relation_fault(monkeypatch):
+    _plant_xi_at(monkeypatch, (1,), 1, (1, 1))
 
 
 def test_relation_laws_catch_a_planted_fault(monkeypatch):
@@ -205,12 +209,7 @@ def test_trie_walk_matches_bottom_sector():
 
 def _plant_xi_image(monkeypatch):
     # send (2, 1) to (1,) under the index-0 generator; the true image is (2, 2)
-    true_xi = fock.xi_on_partition
-
-    def planted(lam, q):
-        return (1,) if (lam, q) == ((2, 1), 0) else true_xi(lam, q)
-
-    monkeypatch.setattr(fock, "xi_on_partition", planted)
+    _plant_xi_at(monkeypatch, (2, 1), 0, (1,))
 
 
 def test_closure_law_catches_a_planted_fault(monkeypatch):
@@ -290,15 +289,6 @@ def _plant_xi_prime_image(monkeypatch, lam, q, image):
         return dict(image) if (mu, p) == (lam, q) else true_xi_prime(mu, p)
 
     monkeypatch.setattr(fock, "xi_prime_on_partition", planted)
-
-
-def _plant_xi_at(monkeypatch, lam, q, image):
-    true_xi = fock.xi_on_partition
-
-    def planted(mu, p):
-        return image if (mu, p) == (lam, q) else true_xi(mu, p)
-
-    monkeypatch.setattr(fock, "xi_on_partition", planted)
 
 
 def _plant_two_terms(monkeypatch):
