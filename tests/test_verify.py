@@ -113,13 +113,18 @@ PLANTED_RELATION_FAILURES = [
 ]
 
 
+def _plant_result(monkeypatch, module, name, args, result):
+    """`module.name` returns `result` on the arguments `args`."""
+    true_fn = getattr(module, name)
+
+    def planted(*given):
+        return result if given == args else true_fn(*given)
+
+    monkeypatch.setattr(module, name, planted)
+
+
 def _plant_xi_at(monkeypatch, lam, q, image):
-    true_xi = fock.xi_on_partition
-
-    def planted(mu, p):
-        return image if (mu, p) == (lam, q) else true_xi(mu, p)
-
-    monkeypatch.setattr(fock, "xi_on_partition", planted)
+    _plant_result(monkeypatch, fock, "xi_on_partition", (lam, q), image)
 
 
 def _plant_relation_fault(monkeypatch):
@@ -351,6 +356,79 @@ def test_shape_laws_catch_a_planted_fault(monkeypatch, law):
     report = run_suite(suite, 4, 2, 0)
     assert report.checked == checked
     assert report.failures == failures
+
+
+# one planted fault per law of the marking dictionary and its weights, with
+# the suite at (4, 2, 0) and its checks and failures; the library proves
+# each of these facts and checks none of them at run time
+PLANTED_DICTIONARY_FAULTS = {
+    # the marked boxes of (2, 1) come top row first, contents 1 then -1
+    "marked-contents-increase": (
+        lambda mp: _plant_result(mp, weights, "marking", ((2, 1),), ((1, 2), (2, 1))),
+        "marking", 42, [{"law": "marked-contents-increase", "partition": [2, 1]}],
+    ),
+    # (2, 2) loses its top diamond: one diamond, cell index 2
+    "diamond-count-is-cell-index": (
+        lambda mp: _plant_result(mp, weights, "marking", ((2, 2),), ((2, 2),)),
+        "marking", 42, [{"law": "diamond-count-is-cell-index", "partition": [2, 2]}],
+    ),
+    # the diamond of (2,) sits in its left box, not its right-most one
+    "reference-marking": (
+        lambda mp: _plant_result(mp, weights, "marking", ((2,),), ((1, 1),)),
+        "marking", 42, [{"law": "reference-marking", "partition": [2]}],
+    ),
+    # the d-set of (2,) is its marked content 1, unshifted; the true one is {0}
+    "d-set-is-shifted": (
+        lambda mp: _plant_result(mp, weights, "d_set", ((2,),), {1}),
+        "marking", 42, [{"law": "d-set-is-shifted", "partition": [2]}],
+    ),
+    # no marked content is ever q - 1 or q + 1, so no box addition applies
+    "surgery-cases-exist": (
+        lambda mp: mp.setattr(weights, "d_tilde", lambda lam: set()),
+        "lemaddq", 81, [{"law": "surgery-cases-exist", "max_size": 4}],
+    ),
+    # the inverse sends {0} at rank 1 to (3,), whose d-set is {1}: both the
+    # reference value and the round trip of (2,) fail
+    "reference-inversion": (
+        lambda mp: _plant_result(mp, weights, "partition_from_d_set", ({0}, 1), (3,)),
+        "d-roundtrip", 15,
+        [{"law": "reference-inversion", "subset": [0], "n": 1},
+         {"law": "d-roundtrip", "partition": [2]}],
+    ),
+    # the rank-3 weights come out increasing: (-3, -2, -1) for staircase(3)
+    "staircase-weight": (
+        lambda mp: _plant_result(mp, weights, "weight_from_subset", ({1, -1, -3}, 3),
+                                 (-3, -2, -1)),
+        "proplink", 20, [{"law": "staircase-weight", "n": 3}],
+    ),
+    # the dictionary reads the d-set of (2,) one high
+    "closed-form-vs-dictionary": (
+        lambda mp: _plant_result(mp, weights, "d_set", ((2,),), {1}),
+        "proplink", 20,
+        [{"law": "closed-form-vs-dictionary", "partition": [2], "closed": [0],
+          "dictionary": [1]}],
+    ),
+}
+
+
+@pytest.mark.parametrize("law", list(PLANTED_DICTIONARY_FAULTS))
+def test_dictionary_laws_catch_a_planted_fault(monkeypatch, law):
+    plant, suite, checked, failures = PLANTED_DICTIONARY_FAULTS[law]
+    plant(monkeypatch)
+    report = run_suite(suite, 4, 2, 0)
+    assert report.checked == checked
+    assert report.failures == failures
+
+
+def test_witness_sector_law_catches_a_planted_fault(monkeypatch):
+    # e_0 gets the witness (), which has no content -1 box to remove; the
+    # plain e_0 still acts nonzero on (), so no other law fails
+    _plant_result(monkeypatch, tl, "witness_partition", (((0, 0),),), ())
+    report = run_suite("faithfulness", 4, 2, 0)
+    assert report.checked == 1667
+    assert report.failures == [
+        {"law": "witness-has-bottom-sector", "word": ((0, 0),), "partition": []},
+    ]
 
 
 # the failures of fcs-basis at (5, 2, 0) when the plain index-0 generator
