@@ -179,19 +179,15 @@ def support_bounds(lam: Partition) -> tuple[int, int]:
 def tensor_rows(nu: Partition) -> list[tuple[int, Partition]]:
     """All pairs (q, image) with nonzero twisted action, by descending q.
 
-    This is one full row of the box-tensor multiplicity matrix.
+    This is one full row of the box-tensor multiplicity matrix; the action
+    vanishes outside `support_bounds`, so only those indices are tried.
     """
     qmin, qmax = support_bounds(nu)
     rows = []
-    for q in range(qmax + 2, qmin - 3, -1):
+    for q in range(qmax, qmin - 1, -1):
         image = xi_on_partition(nu, q)
-        if image is None:
-            continue
-        if q < qmin or q > qmax:
-            raise RuntimeError(
-                f"action of index {q} outside window {(qmin, qmax)} on {nu}"
-            )
-        rows.append((q, image))
+        if image is not None:
+            rows.append((q, image))
     return rows
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .fock import FockVector, apply_word
-from .partitions import Partition, check_partition, remove_box
+from .partitions import Partition, remove_box
 
 FcsWord = tuple[tuple[int, int], ...]
 TLElement = dict[FcsWord, int]
@@ -457,7 +457,7 @@ def witness_partition(w: FcsWord) -> Partition:
     ends = [b for _, b in w]
     rows = [p + ends[0]] * p
     rows += [p + i + ends[i - 1] - 1 for i in range(1, len(w) + 1)]
-    return check_partition(rows)
+    return tuple(rows)
 
 
 def faithfulness_witness(

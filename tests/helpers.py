@@ -14,7 +14,9 @@ as identities on weighted vectors.
 """
 from __future__ import annotations
 
+import inspect
 import os
+import re
 from functools import lru_cache
 from pathlib import Path
 
@@ -36,6 +38,7 @@ from peritl.partitions import (
     staircase,
 )
 from peritl.strata import cell_index
+from peritl import verify
 from peritl.tl import IDENTITY, diagram_product, fcs_to_word, interval_diagram
 from peritl.verify import VerifyReport
 from peritl.weights import d_set, d_tilde
@@ -402,3 +405,23 @@ def oracle_relation_report(rep: str, max_size: int) -> VerifyReport:
                     law="far-commutation", rep=rep, partition=list(lam), i=i, j=j,
                 )
     return run
+
+
+def verify_law_names() -> set[str]:
+    """The law names that `verify` records, read off its `law="..."` and
+    `"law": "..."` literals."""
+    source = inspect.getsource(verify)
+    return set(re.findall(r'law="([^"]+)"', source)) | set(
+        re.findall(r'"law": "([^"]+)"', source)
+    )
+
+
+def untested_law_names() -> set[str]:
+    """The `verify` law names that no test file names as a string literal.
+    The pinned sets of law names (`LAW_NAMES`, `UNTESTED_LAW_NAMES`) do not
+    count: a law is tested when a test expects one of its failure records."""
+    pins = re.compile(r"^[A-Z_]*LAW_NAMES = \{.*?\}$", re.S | re.M)
+    text = "".join(
+        pins.sub("", path.read_text()) for path in Path(__file__).parent.glob("test_*.py")
+    )
+    return {name for name in verify_law_names() if f'"{name}"' not in text}

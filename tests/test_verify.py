@@ -2,8 +2,8 @@ import cProfile
 import importlib.util
 import inspect
 import itertools
+import json
 import random
-import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -21,7 +21,7 @@ from peritl.partitions import (
 )
 from peritl.verify import SUITE_NAMES, run_suite
 
-from helpers import oracle_relation_report
+from helpers import oracle_relation_report, untested_law_names, verify_law_names
 
 
 @pytest.mark.parametrize("suite", [s for s in SUITE_NAMES if s != "all"])
@@ -431,6 +431,65 @@ def test_witness_sector_law_catches_a_planted_fault(monkeypatch):
     ]
 
 
+def test_witness_sector_law_catches_a_witness_that_is_no_partition(monkeypatch):
+    # witness_partition validates no rows: the law holds that its witness is
+    # a partition.  The zero row of (1, 1, 0) still leaves e_0 a bottom sector
+    _plant_result(monkeypatch, tl, "witness_partition", (((0, 0),),), (1, 1, 0))
+    report = run_suite("faithfulness", 4, 2, 0)
+    assert report.checked == 1667
+    assert report.failures == [
+        {"law": "witness-has-bottom-sector", "word": ((0, 0),), "partition": [1, 1, 0]},
+    ]
+
+
+def test_a_twisted_image_outside_the_window_is_a_record(monkeypatch, capsys):
+    # the twisted generator 3 sends (1,) to (2,), where the window of (1,) is
+    # [-1, 1]: the sweep writes the failures and exits 1, it does not stop
+    _plant_xi_at(monkeypatch, (1,), 3, (2,))
+    code = cli.main(["verify", "--suite", "all", "--max-size", "4"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["checked"] == 7764
+    relation = {"suite": "tl-relations", "rep": "xi", "partition": [1]}
+    assert report["failures"] == [
+        {**relation, "law": "far-commutation", "i": -1, "j": 3},
+        {**relation, "law": "far-commutation", "i": 0, "j": 3},
+        {**relation, "law": "contraction", "i": 3, "pm": 1},
+        {**relation, "law": "contraction", "i": 3, "pm": -1},
+        {**relation, "law": "far-commutation", "partition": [2], "i": 0, "j": 3},
+        {**relation, "law": "far-commutation", "partition": [1, 1], "i": 0, "j": 3},
+        {"suite": "single-term", "law": "case-bc-zero", "partition": [1], "q": 3,
+         "case": "C"},
+        {"suite": "remove-box", "law": "row-sum-consistency", "nu": [1]},
+    ]
+
+
+def test_an_increasing_decoded_weight_is_a_record(monkeypatch):
+    # the subset sorts ascending, so every weight of rank 2 or more increases
+    monkeypatch.setattr(weights, "_decreasing_subset", lambda subset, n: sorted(set(subset)))
+    report = run_suite("proplink", 4, 2, 0)
+    assert report.checked == 20
+    assert report.failures == [{"law": "staircase-weight", "n": n} for n in range(2, 9)] + [
+        {"law": "closed-form-vs-dictionary", "partition": list(lam), "closed": closed,
+         "dictionary": dictionary}
+        for lam, closed, dictionary in [
+            ((2, 1), [-1, -2], [-3, 0]), ((3, 1), [0, -2], [-3, 1]),
+            ((2, 2), [-1, -1], [-2, 0]), ((2, 1, 1), [-1, -3], [-4, 0]),
+        ]
+    ]
+
+
+def test_a_closed_form_error_is_a_record(monkeypatch):
+    # a cell index one low on (2,) leaves its closed form no admissible cut
+    _plant_result(monkeypatch, weights, "cell_index", ((2,),), 0)
+    report = run_suite("proplink", 4, 2, 0)
+    assert report.checked == 20
+    assert report.failures == [
+        {"law": "closed-form-vs-dictionary", "partition": [2],
+         "error": "no admissible cut for (2,) at rank 0"},
+    ]
+
+
 # the failures of fcs-basis at (5, 2, 0) when the plain index-0 generator
 # kills (2, 1); the true image is (2, 2) + (2,)
 PLANTED_FACTORIZATION_FAILURES = [
@@ -752,8 +811,18 @@ LAW_NAMES = {
 
 
 def test_law_names_are_pinned():
-    source = inspect.getsource(verify)
-    names = set(re.findall(r'law="([^"]+)"', source))
-    names |= set(re.findall(r'"law": "([^"]+)"', source))
     assert len(LAW_NAMES) == 41
-    assert names == LAW_NAMES
+    assert verify_law_names() == LAW_NAMES
+
+
+# The laws that no test names, so that no planted fault shows that they can
+# fail.  A new law without a planted-fault test fails here, and so does a law
+# that gains one until it leaves this set.
+UNTESTED_LAW_NAMES = {
+    "associativity", "chain-strictness", "ideal-chain", "j-set-difference",
+    "j-zero-subset", "quasi-order", "staircase-cell", "summand-flags",
+}
+
+
+def test_untested_law_names_are_pinned():
+    assert untested_law_names() == UNTESTED_LAW_NAMES
