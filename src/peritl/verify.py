@@ -540,9 +540,10 @@ def _suite_faithfulness(run, max_size, window, rng, table):
     for w, word in expanded:
         lam = tl.witness_partition(w)
         try:
-            ok = check_partition(lam) == lam and tl.bottom_sector(word, lam) is not None
+            ok = check_partition(lam) == lam
         except ValueError:  # the witness is not a partition
             ok = False
+        ok = ok and tl.bottom_sector(word, lam) is not None
         run.check(ok, law="witness-has-bottom-sector", word=w, partition=list(lam))
     trie = _suffix_trie([word for _, word in expanded])
     longest = max((len(word) for _, word in expanded), default=0)

@@ -10,7 +10,8 @@ box-set hook deleter are the library's earlier algorithms, kept as
 references for the direct constructions that replaced them.  The d-set
 surgery classifier restates the rule that `verify` checks inline, and the
 per-partition relation loop restates the relation laws that `verify` checks
-as identities on weighted vectors.
+as identities on weighted vectors.  The law-name readers list the `verify`
+laws that no test names, which tier-1 pins.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import peritl
+from peritl import verify
 from peritl.fock import apply_word, support_bounds
 from peritl.partitions import (
     Partition,
@@ -38,7 +40,6 @@ from peritl.partitions import (
     staircase,
 )
 from peritl.strata import cell_index
-from peritl import verify
 from peritl.tl import IDENTITY, diagram_product, fcs_to_word, interval_diagram
 from peritl.verify import VerifyReport
 from peritl.weights import d_set, d_tilde
@@ -419,7 +420,8 @@ def verify_law_names() -> set[str]:
 def untested_law_names() -> set[str]:
     """The `verify` law names that no test file names as a string literal.
     The pinned sets of law names (`LAW_NAMES`, `UNTESTED_LAW_NAMES`) do not
-    count: a law is tested when a test expects one of its failure records."""
+    count, so a law counts as tested only where a test names it otherwise,
+    as the key of a planted fault or in an expected failure record."""
     pins = re.compile(r"^[A-Z_]*LAW_NAMES = \{.*?\}$", re.S | re.M)
     text = "".join(
         pins.sub("", path.read_text()) for path in Path(__file__).parent.glob("test_*.py")
