@@ -8,7 +8,7 @@ tensor powers and the summand predicates live here too.
 """
 from __future__ import annotations
 
-from .partitions import Partition, add_box, contains, partitions_of, two_core
+from .partitions import Partition, partitions_of, two_core
 
 
 def cell_index(lam: Partition) -> int:
@@ -106,26 +106,4 @@ def summand_labels(n: int, r: int) -> list[tuple[Partition, bool, bool]]:
             appears = k <= n
             out.append((lam, appears, appears and k == n))
     return out
-
-
-def box_addition_path(start: Partition, target: Partition) -> list[tuple[Partition, int]]:
-    """A chain of single-box additions from start to target.
-
-    Returns the list of (partition, content) steps, where each step adds the
-    box of the recorded content to the recorded partition; applying them in
-    order reaches target.  Rows fill from the top, each left to right, so
-    every box is addable in turn.  Raises if start does not fit in target.
-    """
-    if not contains(target, start):
-        raise ValueError(f"{start} is not contained in {target}")
-    path = []
-    cur = start
-    for i, want in enumerate(target):
-        for j in range(start[i] if i < len(start) else 0, want):
-            nxt = add_box(cur, j - i)
-            if nxt is None:
-                raise RuntimeError(f"no addable box of content {j - i} on {cur}")
-            path.append((cur, j - i))
-            cur = nxt
-    return path
 

@@ -5,19 +5,23 @@ sharing no code with the library's row-length representation.  The
 normal-form oracle is an exhaustive search over the library's planar
 diagrams, sharing no code with the insertion algorithm of `normalize`.  The
 d-set search, the domino-stripping loop, the full-vector bottom sector, the
-staircase-by-staircase cell index, the rescanning box-addition path and the
-box-set hook deleter are the library's earlier algorithms, kept as
-references for the direct constructions that replaced them.  The d-set
+staircase-by-staircase cell index and the box-set hook deleter are the
+library's earlier algorithms, kept as references for the direct
+constructions that replaced them; the rescanning box-addition path is the
+one the generation tests walk.  The d-set
 surgery classifier restates the rule that `verify` checks inline, and the
 per-partition relation loop restates the relation laws that `verify` checks
 as identities on weighted vectors.  The law-name readers list the `verify`
-laws that no test names, which tier-1 pins.
+laws that no test names, and the `RuntimeError` reader lists the run-time
+cross-checks of the library; tier-1 pins both.
 """
 from __future__ import annotations
 
+import ast
 import inspect
 import os
 import re
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -427,3 +431,24 @@ def untested_law_names() -> set[str]:
         pins.sub("", path.read_text()) for path in Path(__file__).parent.glob("test_*.py")
     )
     return {name for name in verify_law_names() if f'"{name}"' not in text}
+
+
+def runtime_error_sites() -> dict[str, int]:
+    """The `raise RuntimeError` statements of the library, read from its
+    source with `ast`, counted per enclosing "module.function"."""
+    sites: Counter = Counter()
+
+    def walk(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise):
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                    sites[scope] += 1
+            walk(child, scope)
+
+    for path in sorted(Path(peritl.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem)
+    return dict(sites)

