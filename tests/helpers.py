@@ -8,10 +8,10 @@ d-set search, the domino-stripping loop, the full-vector bottom sector, the
 staircase-by-staircase cell index and the box-set hook deleter are the
 library's earlier algorithms, kept as references for the direct
 constructions that replaced them; the rescanning box-addition path is the
-one the generation tests walk.  The d-set
-surgery classifier restates the rule that `verify` checks inline, and the
-per-partition relation loop restates the relation laws that `verify` checks
-as identities on weighted vectors.  The law-name readers list the `verify`
+one the generation tests walk.  The d-set surgery classifier restates the
+rule that `verify` checks inline, and the per-partition relation loop
+restates the relation laws that `verify` checks as identities on weighted
+vectors.  The law-name readers list the `verify`
 laws that no test names, and the `RuntimeError` reader lists the run-time
 cross-checks of the library; tier-1 pins both.
 """
@@ -440,7 +440,7 @@ def runtime_error_sites() -> dict[str, int]:
 
     def walk(node, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 walk(child, f"{scope}.{child.name}")
                 continue
             if isinstance(child, ast.Raise):
