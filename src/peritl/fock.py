@@ -91,24 +91,18 @@ def xi_on_partition(lam: Partition, q: int) -> Optional[Partition]:
     return delete_hook(lam, hook)
 
 
-def xi_prime_on_partition(lam: Partition, q: int) -> FockVector:
+def xi_prime_on_partition(lam: Partition, q: int) -> tuple[Partition, ...]:
     """Plain action on a single partition: add a q-box, remove a (q-1)-box.
 
-    Zero, one, or two terms, each with coefficient one.
+    Returns the tuple of its zero, one or two image partitions, each with
+    coefficient one, in the form `apply_word` stores in its table.
 
-    >>> sorted(xi_prime_on_partition((2, 1), 2))
-    [(1, 1), (3, 1)]
+    >>> xi_prime_on_partition((2, 1), 2)
+    ((3, 1), (1, 1))
     >>> xi_prime_on_partition((), 0)
-    {(1,): 1}
+    ((1,),)
     """
-    out: FockVector = {}
-    up = add_box(lam, q)
-    if up is not None:
-        out[up] = 1
-    down = remove_box(lam, q - 1)
-    if down is not None:
-        out[down] = out.get(down, 0) + 1
-    return out
+    return tuple(mu for mu in (add_box(lam, q), remove_box(lam, q - 1)) if mu is not None)
 
 
 def apply_word(
@@ -146,7 +140,7 @@ def apply_word(
                 else:
                     images = xi_prime_on_partition(lam, q)
                 if table is not None:
-                    table[rep, lam, q] = images = tuple(images)
+                    table[rep, lam, q] = images
             for kappa in images:
                 new = out.get(kappa, 0) + coeff
                 if new:

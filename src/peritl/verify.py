@@ -75,7 +75,7 @@ class VerifyReport:
 
 def _column_bits(n: int) -> int:
     """Bits of a base above every entry of the matrix of a plain word of n
-    letters.  `apply_word` adds the input coefficient once per key of a
+    letters.  `apply_word` adds the input coefficient once per term of a
     single-partition image, so a letter's matrix has 0/1 entries: at most one
     1 per column for a twisted letter, at most two for a plain one (one added
     and one removed box; the `plain-action-is-add-plus-remove` law of
@@ -84,65 +84,53 @@ def _column_bits(n: int) -> int:
     return n + 1
 
 
-# The relation laws are words of at most three letters, so with this base
-# the image of sum_k RELATION_BASE**k lam_k carries the image of each lam_k
-# as one base-RELATION_BASE digit per partition: two such words agree on the
-# sum exactly when they agree on every lam_k, and as no entry is negative a
-# word kills the sum exactly when it kills each lam_k.
-RELATION_BASE = 1 << _column_bits(3)
-
-
-def _relation_failures(rep: str, windows: list, table: dict):
-    """The relation laws that fail on the (lam, lo, hi) of `windows`, as
-    records {"law": ..., "i": ...[, "pm" or "j"]}, by increasing i:
-    square-zero, contraction at pm = +1 and -1, then far commutation by
-    increasing j.  Each law is one operator identity on a weighted vector:
-    square-zero and both contractions at index i on the partitions whose
-    window holds i, far commutation of i + 2 <= j on those whose window holds
-    both.  On a single window the vector is {lam: 1}."""
-    by_end = sorted(windows, key=lambda w: -w[2])
-    top = by_end[0][2]
-    for i in range(min(lo for _, lo, _ in windows), top + 1):
-        # live: the windows that hold i, by decreasing end, so the windows
-        # that also hold j are a prefix that grows as j comes down to i
-        live = [(lam, hi) for lam, lo, hi in by_end if lo <= i <= hi]
-        x: dict = {}
-        weight = 1
-        far = []
-        for j in range(top, i - 1, -1):
-            while len(x) < len(live) and live[len(x)][1] >= j:
-                x[live[len(x)][0]] = weight
-                weight *= RELATION_BASE
-            if j >= i + 2 and x and (
-                fock.apply_word(x, [i, j], rep, table) != fock.apply_word(x, [j, i], rep, table)
-            ):
-                far.append({"law": "far-commutation", "i": i, "j": j})
-        first = fock.apply_word(x, [i], rep, table)
-        if fock.apply_word(first, [i], rep, table):
-            yield {"law": "square-zero", "i": i}
-        for pm in (1, -1):
-            if fock.apply_word(first, [i, i + pm], rep, table) != first:
-                yield {"law": "contraction", "i": i, "pm": pm}
-        yield from reversed(far)
+def _images(rep: str, lam, q: int, table: dict) -> tuple:
+    """The images of lam under the index-q generator of `rep`, one per term,
+    as the run's `table` holds them; a missing entry is filled through
+    `fock.apply_word`, the table's one writer."""
+    images = table.get((rep, lam, q))
+    if images is None:
+        fock.apply_word({lam: 1}, [q], rep, table)
+        images = table[rep, lam, q]
+    return images
 
 
 def _relation_suite(run: VerifyReport, rep: str, max_size: int, table: dict) -> None:
     """Square-zero, far commutation, and the three-index contraction, on each
     partition at every index of its support window widened by two, counted
-    one check per (lam, i[, j]).  The laws run once over all windows; when
-    one fails, they rerun on each window alone to write its records."""
-    windows = []
+    one check per (lam, i[, j]).  A word's image of one partition is the
+    sorted list of its terms, a term repeated once per path: no coefficient
+    is negative, so two images agree exactly when their lists do, and the
+    zero image is [].  A law whose words all start from a zero image holds,
+    so it is not computed."""
+
+    def act(q, terms):
+        out = []
+        for mu in terms:
+            out += _images(rep, mu, q, table)
+        out.sort()
+        return out
+
     for lam in enumerate_partitions(max_size):
         qmin, qmax = fock.support_bounds(lam)
-        windows.append((lam, qmin - 2, qmax + 2))
-        width = qmax - qmin + 5  # the indices of the window
+        window = range(qmin - 2, qmax + 3)
+        width = len(window)
         run.checked += 3 * width + (width - 1) * (width - 2) // 2
-    if next(_relation_failures(rep, windows, table), None) is None:
-        return
-    for lam, lo, hi in windows:
-        for failure in _relation_failures(rep, [(lam, lo, hi)], table):
-            law = failure.pop("law")
-            run.failures.append({"law": law, "rep": rep, "partition": list(lam), **failure})
+        first = {i: act(i, [lam]) for i in window}
+
+        def fail(law, **at):
+            run.failures.append({"law": law, "rep": rep, "partition": list(lam), **at})
+
+        for i in window:
+            if first[i]:
+                if act(i, first[i]):
+                    fail(law="square-zero", i=i)
+                for pm in (1, -1):
+                    if act(i, act(i + pm, first[i])) != first[i]:
+                        fail(law="contraction", i=i, pm=pm)
+            for j in range(i + 2, window.stop):
+                if (first[i] or first[j]) and act(i, first[j]) != act(j, first[i]):
+                    fail(law="far-commutation", i=i, j=j)
 
 
 def _suite_tl_relations(run, max_size, window, rng, table):
@@ -192,7 +180,7 @@ def _suite_preserve(run, max_size, window, rng, table):
         qmin, qmax = fock.support_bounds(lam)
         for q in range(qmin - 2, qmax + 3):
             run.checked += len(ks)
-            for kappa in fock.apply_word({lam: 1}, [q], "xi", table):
+            for kappa in _images("xi", lam, q, table):
                 for k in ks:
                     if not strata.in_ideal(kappa, k):
                         failures[k].append(
@@ -209,7 +197,7 @@ def _suite_remove_box(run, max_size, window, rng, table):
     twisted generator q sends nu to kappa."""
 
     def image(nu, q):  # the twisted image of nu, None for zero
-        return next(iter(fock.apply_word({nu: 1}, [q], "xi", table)), None)
+        return next(iter(_images("xi", nu, q, table)), None)
 
     for nu in enumerate_partitions(max_size):
         for q in removable_contents(nu):
@@ -369,7 +357,7 @@ def _suite_ideals(run, max_size, window, rng, table):
             cur = staircase(k)
             contents = (j - i for i, part in enumerate(lam) for j in range(max(k - i, 0), part))
             for q in contents:
-                cur = next(iter(fock.apply_word({cur: 1}, [q], "xi", table)), None)
+                cur = next(iter(_images("xi", cur, q, table)), None)
                 if cur is None or not strata.in_ideal(cur, k):
                     break
             # a cell index that reads too high admits lam without staircase(k)

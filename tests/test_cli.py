@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import re
 import resource
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peritl import cli
 from peritl.verify import SUITE_NAMES, run_suite
@@ -395,6 +398,107 @@ def test_cost_follows_input_size_not_magnitude(argv, code, stdout):
         check=False, env=child_env(), preexec_fn=_cap_child_memory_and_cpu, timeout=120,
     )
     assert (run.returncode, run.stdout) == (code, stdout)
+
+
+# The grammar of the query commands, with small parts and indices: large
+# magnitudes are the stress table's job above.  Each value has a well-formed
+# and a malformed strategy.
+_SMALL = st.integers(-50, 50)
+_JUNK = st.text(alphabet="0123456789-+, []{}\":abcx_.", max_size=12)
+
+
+def _commas(xs):
+    return ",".join(map(str, xs))
+
+
+_WORD = st.lists(_SMALL, max_size=8).map(_commas)
+_PARTITION = st.lists(st.integers(1, 50), max_size=6).map(
+    lambda xs: _commas(sorted(xs, reverse=True))
+)
+_NOT_PARTITION = st.lists(_SMALL, min_size=1, max_size=6).map(_commas) | _JUNK
+_JSON = st.recursive(
+    st.none() | st.booleans() | _SMALL | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["partition", "coeff", "word", "x"]), inner, max_size=3),
+    max_leaves=8,
+).map(json.dumps) | _JUNK
+_VECTOR = st.lists(st.fixed_dictionaries({
+    "partition": st.lists(st.integers(1, 50), max_size=5).map(lambda xs: sorted(xs, reverse=True)),
+    "coeff": _SMALL,
+}), max_size=3).map(json.dumps)
+# a fully commutative word: interval starts and ends strictly decrease
+_FCS_WORD = st.tuples(
+    _SMALL, st.integers(0, 4), st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=3)
+).map(lambda t: [[t[0] - sum(d for d, _ in t[2][:k]), t[0] + t[1] - sum(e for _, e in t[2][:k])]
+                 for k in range(len(t[2]) + 1)])
+_INTERVALS = st.lists(st.tuples(_SMALL, _SMALL).map(list), min_size=1, max_size=4)
+
+
+def _element(word):
+    return st.lists(st.fixed_dictionaries({"word": word, "coeff": _SMALL}), max_size=3).map(
+        json.dumps
+    )
+
+
+def _flag(name, good, bad):
+    """The (well-formed, malformed) strategies of one flag, each drawing its
+    argv items as --flag=value, so that no value reads as a flag."""
+    return good.map(lambda v: [f"--{name}={v}"]), bad.map(lambda v: [f"--{name}={v}"])
+
+
+_PARTITION_FLAG = _flag("partition", _PARTITION, _NOT_PARTITION)
+_VECTOR_FLAG = _flag("vector", _VECTOR, _JSON)
+_QUERY_FLAGS = {
+    "act": [
+        _flag("rep", st.sampled_from(["xi", "xi-prime"]), st.just("bogus")),
+        _flag("word", _WORD, _JUNK),
+        # exactly one of --partition and --vector
+        (_PARTITION_FLAG[0] | _VECTOR_FLAG[0],
+         _PARTITION_FLAG[1] | _VECTOR_FLAG[1]
+         | st.tuples(_PARTITION_FLAG[0], _VECTOR_FLAG[0]).map(lambda t: t[0] + t[1])),
+    ],
+    "tensor": [_PARTITION_FLAG],
+    "cell": [_PARTITION_FLAG, _flag("ideals-up-to", _SMALL, _JUNK)],
+    "weight": [_PARTITION_FLAG],
+    "summands": [_flag("n", _SMALL, _JUNK), _flag("r", st.integers(-3, 12), _JUNK)],
+    "normalize": [_flag("word", _WORD, _JUNK)],
+    "witness": [_flag("element", _element(_FCS_WORD), _element(_INTERVALS) | _JSON)],
+}
+
+
+@st.composite
+def _query_argv(draw):
+    """One argv of a query command.  Half are well formed; in the others
+    each flag is well formed, malformed or missing, and a stray flag may
+    follow."""
+    command = draw(st.sampled_from(sorted(_QUERY_FLAGS)))
+    clean = draw(st.booleans())
+    argv = [command]
+    for good, bad in _QUERY_FLAGS[command]:
+        form = 0 if clean else draw(st.integers(0, 2))
+        if form < 2:
+            argv += draw(bad if form else good)
+    if not clean and draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["--bogus", "--window=3"])))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=_query_argv())
+def test_query_commands_exit_cleanly_on_any_input(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code in (0, 1):
+        text = out.getvalue()
+        assert text.count("\n") == 1 and text.endswith("\n"), argv
+        json.loads(text)  # exactly one document: trailing data raises
+    else:
+        assert out.getvalue() == "", argv
 
 
 @pytest.mark.parametrize("argv", [

@@ -92,11 +92,11 @@ def test_xi_apply_linearity():
 
 
 def test_xi_prime_examples():
-    assert xi_prime_on_partition((), 0) == {(1,): 1}
-    assert xi_prime_on_partition((1, 1), 0) == {(1,): 1}
+    assert xi_prime_on_partition((), 0) == ((1,),)
+    assert xi_prime_on_partition((1, 1), 0) == ((1,),)
     # the index-2 generator on (2,1): adds the content-2 box and removes the
-    # content-1 box (1,2)
-    assert xi_prime_on_partition((2, 1), 2) == {(3, 1): 1, (1, 1): 1}
+    # content-1 box (1,2), the added box first
+    assert xi_prime_on_partition((2, 1), 2) == ((3, 1), (1, 1))
     assert apply_word({(2, 1): 1}, [2], "xi-prime") == {(3, 1): 1, (1, 1): 1}
 
 
@@ -146,7 +146,7 @@ def test_support_bounds():
         qmin, qmax = support_bounds(lam)
         for q in list(range(qmin - 6, qmin)) + list(range(qmax + 1, qmax + 7)):
             assert xi_on_partition(lam, q) is None
-            assert xi_prime_on_partition(lam, q) == {}
+            assert xi_prime_on_partition(lam, q) == ()
 
 
 def test_tensor_block_multiplicity():

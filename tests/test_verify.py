@@ -147,7 +147,7 @@ PLANTED_PRIME_RELATION_FAILURES = [
 
 
 def test_prime_relation_laws_catch_a_planted_fault(monkeypatch):
-    _plant_xi_prime_image(monkeypatch, (1,), 1, {(2,): 1})
+    _plant_xi_prime_image(monkeypatch, (1,), 1, ((2,),))
     report = run_suite("tl-prime-relations", 4, 3, 0)
     assert report.checked == 631
     assert report.failures == PLANTED_PRIME_RELATION_FAILURES
@@ -291,7 +291,7 @@ def _plant_xi_prime_image(monkeypatch, lam, q, image):
     true_xi_prime = fock.xi_prime_on_partition
 
     def planted(mu, p):
-        return dict(image) if (mu, p) == (lam, q) else true_xi_prime(mu, p)
+        return image if (mu, p) == (lam, q) else true_xi_prime(mu, p)
 
     monkeypatch.setattr(fock, "xi_prime_on_partition", planted)
 
@@ -338,7 +338,7 @@ PLANTED_SHAPE_FAULTS = {
     ),
     # the plain index-1 image of (1,) loses its removed-box term ()
     "plain-action-is-add-plus-remove": (
-        lambda mp: _plant_xi_prime_image(mp, (1,), 1, {(2,): 1}), "single-term", 306,
+        lambda mp: _plant_xi_prime_image(mp, (1,), 1, ((2,),)), "single-term", 306,
         [{"law": "plain-action-is-add-plus-remove", "partition": [1], "q": 1}],
     ),
     "block-index-parity": (
@@ -569,6 +569,18 @@ def test_distinct_diagrams_law_catches_a_planted_fault(monkeypatch):
     assert report.failures == [{"law": "distinct-diagrams", "word": ((1, 2), (0, 0))}]
 
 
+def test_a_duplicated_plain_image_is_a_coefficient_two_term(monkeypatch):
+    # the plain index-1 generator sends (1,) to (2,) twice and to (); the
+    # true image is (2,) + (), so the action reads 2 (2,) + ()
+    _plant_xi_prime_image(monkeypatch, (1,), 1, ((2,), (2,), ()))
+    assert fock.apply_word({(1,): 1}, [1], "xi-prime") == {(2,): 2, (): 1}
+    report = run_suite("single-term", 4, 2, 0)
+    assert report.checked == 306
+    assert report.failures == [
+        {"law": "plain-action-is-add-plus-remove", "partition": [1], "q": 1},
+    ]
+
+
 def test_roundtrip_law_catches_a_planted_fault(monkeypatch):
     # normalize reads e_1 e_0 as e_0 e_1
     true_normalize = tl.normalize
@@ -584,14 +596,14 @@ def test_roundtrip_law_catches_a_planted_fault(monkeypatch):
 
 
 def test_factorization_law_catches_a_planted_fault(monkeypatch):
-    _plant_xi_prime_image(monkeypatch, (2, 1), 0, {})
+    _plant_xi_prime_image(monkeypatch, (2, 1), 0, ())
     report = run_suite("fcs-basis", 5, 2, 0)
     assert report.checked == 1106
     assert report.failures == PLANTED_FACTORIZATION_FAILURES
 
 
 def test_zero_diagram_law_catches_a_planted_fault(monkeypatch):
-    _plant_xi_prime_image(monkeypatch, (), 0, {(1,): 1, (): 1})
+    _plant_xi_prime_image(monkeypatch, (), 0, ((1,), ()))
     report = run_suite("fcs-basis", 5, 2, 0)
     assert report.checked == 1106
     assert report.failures == PLANTED_ZERO_DIAGRAM_FAILURES
@@ -639,7 +651,7 @@ PLANTED_WITNESS_FAILURES = [
 
 def test_witness_law_catches_a_planted_fault(monkeypatch):
     # a killed witness is a failed check: the count is the clean one
-    _plant_xi_prime_image(monkeypatch, (1, 1), 0, {})
+    _plant_xi_prime_image(monkeypatch, (1, 1), 0, ())
     report = run_suite("faithfulness", 5, 2, 0)
     assert report.checked == 2374
     assert report.failures == PLANTED_WITNESS_FAILURES
@@ -647,7 +659,7 @@ def test_witness_law_catches_a_planted_fault(monkeypatch):
 
 def test_a_killed_witness_is_printed_as_it_is(monkeypatch, capsys):
     # the counterexample to faithfulness is the output, not an error
-    _plant_xi_prime_image(monkeypatch, (1, 1), 0, {})
+    _plant_xi_prime_image(monkeypatch, (1, 1), 0, ())
     code = cli.main(["witness", "--element", '[{"word":[[0,0]],"coeff":1}]'])
     assert capsys.readouterr().out == '{"partition":[1,1],"image":[]}\n'
     assert code == 0
@@ -808,32 +820,23 @@ PLANTED_EXTRA_IMAGE_FAILURES = [
 ]
 
 
-def test_relation_base_catches_an_extra_image(monkeypatch):
-    _plant_xi_prime_image(monkeypatch, (1,), 1, {(2,): 1, (): 1, (1, 1): 1})
-    assert verify.RELATION_BASE == 16
-    assert run_suite("tl-prime-relations", 4, 3, 0).failures == PLANTED_EXTRA_IMAGE_FAILURES
-    # One planted image changes one column of one letter, and the true
-    # relation words have 0/1 entries, so base 2 already separates the
-    # columns here: no single extra or wrong image partition on partitions
-    # of at most 5 boxes passes at base 2 and fails at 16.  The base is set
-    # by the entries a faulty action could reach, not by these plants.
-    monkeypatch.setattr(verify, "RELATION_BASE", 2)
+def test_relation_laws_catch_an_extra_plain_image(monkeypatch):
+    _plant_xi_prime_image(monkeypatch, (1,), 1, ((2,), (), (1, 1)))
     assert run_suite("tl-prime-relations", 4, 3, 0).failures == PLANTED_EXTRA_IMAGE_FAILURES
 
 
 def test_fcs_base_catches_an_extra_image(monkeypatch):
     # the plain index-0 generator sends (3, 3) to (4, 3); the true image is 0
-    _plant_xi_prime_image(monkeypatch, (3, 3), 0, {(4, 3): 1})
+    _plant_xi_prime_image(monkeypatch, (3, 3), 0, ((4, 3),))
     failures = [
         {"law": "action-factors-through-diagrams", "u": [0], "v": [0, 1, 0]},
         {"law": "action-factors-through-diagrams", "u": [0, -2], "v": [-2, 0]},
     ]
     assert verify._column_bits(8) == 9
     assert run_suite("fcs-basis", 6, 2, 0).failures == failures
-    # As for the relation laws, base 2 already separates the columns here:
-    # no extra or wrong image partition that adds or removes one box,
-    # searched at max-size 8, passes at base 2 and fails at the committed
-    # base.
+    # Base 2 already separates the columns here: no extra or wrong image
+    # partition that adds or removes one box, searched at max-size 8, passes
+    # at base 2 and fails at the committed base.
     monkeypatch.setattr(verify, "_column_bits", lambda n: 1)
     assert run_suite("fcs-basis", 6, 2, 0).failures == failures
 
@@ -869,7 +872,7 @@ def _relation_plants():
             plain = fock.xi_prime_on_partition(lam, q)
             for kappa in neighbours:
                 if kappa not in plain:
-                    yield "xi-prime", lam, q, {**plain, kappa: 1}
+                    yield "xi-prime", lam, q, (*plain, kappa)
 
 
 def test_relation_failures_are_the_loop_failures(monkeypatch):
@@ -902,6 +905,31 @@ def test_relation_failures_are_the_loop_failures(monkeypatch):
     # generator 0 acts, so a relation word meets that image only as its
     # first letter on (), where a zero leaves both sides zero.
     assert silent == [("xi", (), 0, None)]
+
+
+# One planted image on an 8-box partition at a time, on windows wider than
+# any of `_relation_plants`.  On (8,) the records reach far commutation
+# across nine and ten indices; (4, 3, 1) gives more records.  Twisted images
+# are swapped for zero (the true ones are (9,) and (4, 2, 1)); plain images
+# gain an extra one-box neighbour beside the true (9,) + (7,) and
+# (4, 4, 1) + (4, 2, 1).
+WIDE_RELATION_PLANTS = [
+    ("xi", (8,), 8, None),
+    ("xi", (4, 3, 1), 0, None),
+    ("xi-prime", (8,), 8, ((9,), (7,), (8, 1))),
+    ("xi-prime", (4, 3, 1), 2, ((4, 4, 1), (4, 2, 1), (5, 3, 1))),
+]
+
+
+@pytest.mark.parametrize("rep, lam, q, wrong", WIDE_RELATION_PLANTS,
+                         ids=["xi-8", "xi-431", "xi-prime-8", "xi-prime-431"])
+def test_relation_failures_on_wide_windows_are_the_loop_failures(monkeypatch, rep, lam, q, wrong):
+    plant = _plant_xi_at if rep == "xi" else _plant_xi_prime_image
+    plant(monkeypatch, lam, q, wrong)
+    report = run_suite(RELATION_SUITES[rep], 9, 3, 0)
+    oracle = oracle_relation_report(rep, 9)
+    assert oracle.failures
+    assert report.failures == oracle.failures
 
 
 # The law names that verify records, read off its `law="..."` and
