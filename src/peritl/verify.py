@@ -116,7 +116,7 @@ def _relation_suite(run: VerifyReport, rep: str, max_size: int, table: dict) -> 
         window = range(qmin - 2, qmax + 3)
         width = len(window)
         run.checked += 3 * width + (width - 1) * (width - 2) // 2
-        first = {i: act(i, [lam]) for i in window}
+        first = {i: sorted(_images(rep, lam, i, table)) for i in window}
 
         def fail(law, **at):
             run.failures.append({"law": law, "rep": rep, "partition": list(lam), **at})

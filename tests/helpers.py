@@ -10,8 +10,8 @@ library's earlier algorithms, kept as references for the direct
 constructions that replaced them; the rescanning box-addition path is the
 one the generation tests walk.  The d-set surgery classifier restates the
 rule that `verify` checks inline, and the per-partition relation loop
-restates the relation laws that `verify` checks as identities on weighted
-vectors.  The law-name readers list the `verify`
+restates through `apply_word` the relation laws that `verify` checks on
+image lists read from its table.  The law-name readers list the `verify`
 laws that no test names, and the `RuntimeError` reader lists the run-time
 cross-checks of the library; tier-1 pins both.
 """
