@@ -95,7 +95,7 @@ def xi_prime_on_partition(lam: Partition, q: int) -> tuple[Partition, ...]:
     """Plain action on a single partition: add a q-box, remove a (q-1)-box.
 
     Returns the tuple of its zero, one or two image partitions, each with
-    coefficient one, in the form `apply_word` stores in its table.
+    coefficient one, in the form `images` stores in a table.
 
     >>> xi_prime_on_partition((2, 1), 2)
     ((3, 1), (1, 1))
@@ -103,6 +103,27 @@ def xi_prime_on_partition(lam: Partition, q: int) -> tuple[Partition, ...]:
     ((1,),)
     """
     return tuple(mu for mu in (add_box(lam, q), remove_box(lam, q - 1)) if mu is not None)
+
+
+def images(lam: Partition, q: int, rep: str = "xi", table: Optional[dict] = None) -> tuple:
+    """The images of lam under the index-q generator of `rep`, one per term,
+    as a run's image table holds them (a twisted zero is ()).  `table`, a
+    dict the caller owns for one computation, is read under the key
+    (rep, lam, q) and filled there on a miss.
+
+    >>> images((2, 1), 2, "xi-prime")
+    ((3, 1), (1, 1))
+    """
+    if table is not None and (found := table.get((rep, lam, q))) is not None:
+        return found
+    if rep == "xi":
+        kappa = xi_on_partition(lam, q)
+        found = () if kappa is None else (kappa,)
+    else:
+        found = xi_prime_on_partition(lam, q)
+    if table is not None:
+        table[rep, lam, q] = found
+    return found
 
 
 def apply_word(
@@ -116,10 +137,8 @@ def apply_word(
     the linear extension of `xi_on_partition` (rep "xi") or
     `xi_prime_on_partition` (rep "xi-prime").
 
-    `table`, when given, is a dict owned by the caller for one computation:
-    the image of each partition under each generator is read from it under
-    the key (rep, lam, q), and computed and stored as a tuple of partitions
-    on first use.  Without it every image is computed afresh.
+    `table`, when given, holds the single-partition images, read and filled
+    as `images` does; without it every image is computed afresh.
 
     >>> apply_word({(): 1}, [0, 1, 0], "xi")
     {(1,): 1}
@@ -128,20 +147,13 @@ def apply_word(
     """
     if rep not in REPRESENTATIONS:
         raise ValueError(f"unknown representation {rep!r}")
-    twisted = rep == "xi"
     cur = dict(vec)
     for q in reversed(list(word)):
         out: FockVector = {}
         for lam, coeff in cur.items():
-            if table is None or (images := table.get((rep, lam, q))) is None:
-                if twisted:
-                    kappa = xi_on_partition(lam, q)
-                    images = () if kappa is None else (kappa,)
-                else:
-                    images = xi_prime_on_partition(lam, q)
-                if table is not None:
-                    table[rep, lam, q] = images
-            for kappa in images:
+            if table is None or (terms := table.get((rep, lam, q))) is None:
+                terms = images(lam, q, rep, table)
+            for kappa in terms:
                 new = out.get(kappa, 0) + coeff
                 if new:
                     out[kappa] = new
@@ -212,6 +224,5 @@ def vector_from_json(data) -> FockVector:
             raise ValueError(f"coefficients must be integers, got {coeff!r}")
         if lam in vec:
             raise ValueError(f"duplicate partition {lam} in vector")
-        if coeff:
-            vec[lam] = coeff
-    return vec
+        vec[lam] = coeff
+    return {lam: coeff for lam, coeff in vec.items() if coeff}

@@ -392,9 +392,8 @@ def element_from_json(data) -> TLElement:
             raise ValueError(f"coefficients must be integers, got {coeff!r}")
         if w in out:
             raise ValueError(f"duplicate word {w} in element")
-        if coeff:
-            out[w] = coeff
-    return out
+        out[w] = coeff
+    return {w: coeff for w, coeff in out.items() if coeff}
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +460,9 @@ def faithfulness_witness(
     element would disprove faithfulness; it is returned as it is, and the
     `faithfulness` suite of `verify` records it.
 
-    `table`, when given, is passed to `apply_word`: the plain images of
-    single partitions are read from it and stored in it under the keys
-    ("xi-prime", lam, q).  The result is the same with or without it.
+    `table`, when given, is passed to `apply_word`, which reads and fills
+    the plain images of single partitions through `fock.images`.  The result
+    is the same with or without it.
 
     >>> faithfulness_witness({((0, 0),): 1})
     ((1, 1), {(1,): 1})

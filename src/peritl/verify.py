@@ -84,17 +84,6 @@ def _column_bits(n: int) -> int:
     return n + 1
 
 
-def _images(rep: str, lam, q: int, table: dict) -> tuple:
-    """The images of lam under the index-q generator of `rep`, one per term,
-    as the run's `table` holds them; a missing entry is filled through
-    `fock.apply_word`, the table's one writer."""
-    images = table.get((rep, lam, q))
-    if images is None:
-        fock.apply_word({lam: 1}, [q], rep, table)
-        images = table[rep, lam, q]
-    return images
-
-
 def _relation_suite(run: VerifyReport, rep: str, max_size: int, table: dict) -> None:
     """Square-zero, far commutation, and the three-index contraction, on each
     partition at every index of its support window widened by two, counted
@@ -107,7 +96,7 @@ def _relation_suite(run: VerifyReport, rep: str, max_size: int, table: dict) -> 
     def act(q, terms):
         out = []
         for mu in terms:
-            out += _images(rep, mu, q, table)
+            out += fock.images(mu, q, rep, table)
         out.sort()
         return out
 
@@ -116,7 +105,7 @@ def _relation_suite(run: VerifyReport, rep: str, max_size: int, table: dict) -> 
         window = range(qmin - 2, qmax + 3)
         width = len(window)
         run.checked += 3 * width + (width - 1) * (width - 2) // 2
-        first = {i: sorted(_images(rep, lam, i, table)) for i in window}
+        first = {i: sorted(fock.images(lam, i, rep, table)) for i in window}
 
         def fail(law, **at):
             run.failures.append({"law": law, "rep": rep, "partition": list(lam), **at})
@@ -180,7 +169,7 @@ def _suite_preserve(run, max_size, window, rng, table):
         qmin, qmax = fock.support_bounds(lam)
         for q in range(qmin - 2, qmax + 3):
             run.checked += len(ks)
-            for kappa in _images("xi", lam, q, table):
+            for kappa in fock.images(lam, q, "xi", table):
                 for k in ks:
                     if not strata.in_ideal(kappa, k):
                         failures[k].append(
@@ -197,7 +186,7 @@ def _suite_remove_box(run, max_size, window, rng, table):
     twisted generator q sends nu to kappa."""
 
     def image(nu, q):  # the twisted image of nu, None for zero
-        return next(iter(_images("xi", nu, q, table)), None)
+        return next(iter(fock.images(nu, q, "xi", table)), None)
 
     for nu in enumerate_partitions(max_size):
         for q in removable_contents(nu):
@@ -357,7 +346,7 @@ def _suite_ideals(run, max_size, window, rng, table):
             cur = staircase(k)
             contents = (j - i for i, part in enumerate(lam) for j in range(max(k - i, 0), part))
             for q in contents:
-                cur = next(iter(_images("xi", cur, q, table)), None)
+                cur = next(iter(fock.images(cur, q, "xi", table)), None)
                 if cur is None or not strata.in_ideal(cur, k):
                     break
             # a cell index that reads too high admits lam without staircase(k)
@@ -602,7 +591,7 @@ def run_suite(
     suite: str, max_size: int = 10, window: int = 3, seed: int = 0, *, table=None
 ) -> VerifyReport:
     """Run one named suite (or all of them) and return its report.  Generator
-    images are kept in `table` (see `fock.apply_word`), a new dict unless
+    images are kept in `table` (see `fock.images`), a new dict unless
     given, so each is computed once per call; "all" shares one table, and
     runs each suite through this function, so a wrapper of `run_suite` sees
     every suite."""

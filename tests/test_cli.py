@@ -286,6 +286,11 @@ def test_exit_codes(capsys, monkeypatch):
         ["witness", "--element", '[{"word":[[0,0]],"coeff":"1"}]'],
         ["witness", "--element", '[{"word":[[0,0.0]],"coeff":1}]'],
         ["witness", "--element", '[{"word":[[false,0]],"coeff":1}]'],
+        # a repeated partition or word is an error whatever its coefficient
+        ["act", "--rep", "xi", "--word", "1",
+         "--vector", '[{"partition":[1],"coeff":0},{"partition":[1],"coeff":1}]'],
+        ["witness", "--element",
+         '[{"word":[[0,0]],"coeff":0},{"word":[[0,0]],"coeff":1}]'],
         # a vector or an element is a JSON list of terms
         ["act", "--rep", "xi", "--word", "1", "--vector", "{}"],
         ["witness", "--element", "{}"],

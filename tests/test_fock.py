@@ -123,6 +123,13 @@ def test_apply_word_with_a_table_matches_without():
                     {lam: 1}, word, rep
                 ), (word, lam, rep)
     assert {rep for rep, _, _ in table} == set(fock.REPRESENTATIONS)
+    # fock.images reads the same table, and agrees with apply_word's terms
+    for lam in enumerate_partitions(8):
+        for q in range(-3, 4):
+            for rep in fock.REPRESENTATIONS:
+                terms = tuple(apply_word({lam: 1}, [q], rep))
+                assert fock.images(lam, q, rep, table) == fock.images(lam, q, rep) == terms, (
+                    lam, q, rep)
     assert all(
         type(images) is tuple and all(type(kappa) is tuple for kappa in images)
         for images in table.values()

@@ -164,10 +164,10 @@ def test_no_image_outlives_a_run(monkeypatch):
 
 
 def test_verify_all_computes_each_image_once(monkeypatch):
-    # every image a suite asks apply_word for is computed once per run; only
-    # tensor_rows and the replayed command examples (`act`, and `witness`
-    # through faithfulness_witness), which pass no table as the commands do,
-    # compute their own
+    # every image a suite asks for is computed once per run, by fock.images
+    # with the run's table; only tensor_rows and the replayed command examples
+    # (`act`, and `witness` through faithfulness_witness), which pass no table
+    # as the commands do, compute their own
     tabled, untabled = Counter(), Counter()
 
     def suite_of(frame):
@@ -178,11 +178,12 @@ def test_verify_all_computes_each_image_once(monkeypatch):
     def counting(fn):
         def wrapper(lam, q):
             caller = sys._getframe(1)
-            if (caller.f_code is fock.apply_word.__code__
-                    and caller.f_locals.get("table") is not None):
-                tabled[fn.__name__, lam, q] += 1
-            else:
-                untabled[suite_of(caller), caller.f_code.co_name] += 1
+            if caller.f_code is fock.images.__code__:
+                if caller.f_locals.get("table") is not None:
+                    tabled[fn.__name__, lam, q] += 1
+                    return fn(lam, q)
+                caller = caller.f_back
+            untabled[suite_of(caller), caller.f_code.co_name] += 1
             return fn(lam, q)
         return wrapper
 
@@ -196,6 +197,26 @@ def test_verify_all_computes_each_image_once(monkeypatch):
         ("_suite_cli_examples", "tensor_rows"),
         ("_suite_remove_box", "tensor_rows"),
     }
+
+
+@pytest.mark.parametrize(
+    "suite", ["tl-relations", "tl-prime-relations", "preserve", "remove-box", "ideals"]
+)
+def test_single_image_suites_fill_the_table_without_apply_word(monkeypatch, suite):
+    # these suites read single images through fock.images alone; a fill that
+    # went through a whole apply_word call would show up here
+    calls = []
+    apply_word = fock.apply_word
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return apply_word(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "apply_word", counting)
+    table: dict = {}
+    assert run_suite(suite, 6, 3, 0, table=table).ok
+    assert table
+    assert calls == []
 
 
 def test_trie_walk_matches_bottom_sector():
