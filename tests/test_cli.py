@@ -185,14 +185,15 @@ def test_verify_stdout_matches_pinned_digest(capsys):
 
 
 @pytest.mark.parametrize("max_size, checked, digest", [
-    (12, 274_325, "0ed293690b9b7acee4071c05fbc0556f08f6f19fa53fe72c470b0efd47f1fd8a"),
-    (14, 540_133, "9dc482b52e51080b322fac925597caac6ce9b8c26f9c503b45bd003b145eb031"),
-    (16, 1_020_772, "6dd58cd5e335113c8ec9817148323745ce81fa70430927a1bbd81723f893a461"),
+    (12, 274_812, "32dd1764981643e38e468c8ff02eb662036bd15cb38be6793e28e6dbfb65f8a0"),
+    (14, 541_511, "a8e797d00abf2619db6a26bdd4e0b1b57b19b2731ea0815a05623cb9456efab9"),
+    (16, 1_024_996, "dbeee79b110d35b332f4a6d3da6a663f519c10761103858af01e8d145a121df3"),
 ], ids=["12", "14", "16"])
 def test_verify_stdout_at_larger_max_size_matches_pinned_digest(
     capsys, max_size, checked, digest
 ):
-    # hook geometry on partitions of 11 to 16 boxes, beyond the benchmark's pins
+    # hook geometry on partitions of 11 to 16 boxes, and the ideal of
+    # staircase(5) at 16, beyond the benchmark's pins
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-size",
                            str(max_size), "--window", "3", "--seed", "0")
     assert code == 0

@@ -238,14 +238,27 @@ def _plant_xi_image(monkeypatch):
     _plant_xi_at(monkeypatch, (2, 1), 0, (1,))
 
 
-def test_closure_law_catches_a_planted_fault(monkeypatch):
+# (partition, q, planted twisted image, max-size) and the checks and failures
+# of preserve at that max-size and (2, 0)
+PLANTED_CLOSURE_FAULTS = [
     # (1,) has left the ideal of staircase (2, 1) that its preimage is in
-    _plant_xi_image(monkeypatch)
-    report = run_suite("preserve", 5, 2, 0)
-    assert report.checked == 444
-    assert report.failures == [
-        {"law": "ideal-closure", "k": 2, "partition": [2, 1], "q": 0, "image": [1]},
-    ]
+    ((2, 1), 0, (1,), 5, 444,
+     [{"law": "ideal-closure", "k": 2, "partition": [2, 1], "q": 0, "image": [1]}]),
+    # staircase(5), of 15 boxes, goes to (5, 4, 3, 2) and leaves ideal 5; the
+    # true image is (5, 4, 4, 2, 1)
+    ((5, 4, 3, 2, 1), 1, (5, 4, 3, 2), 15, 41_315,
+     [{"law": "ideal-closure", "k": 5, "partition": [5, 4, 3, 2, 1], "q": 1,
+       "image": [5, 4, 3, 2]}]),
+]
+
+
+def test_closure_law_catches_a_planted_fault(monkeypatch):
+    for lam, q, image, max_size, checked, failures in PLANTED_CLOSURE_FAULTS:
+        with monkeypatch.context() as patch:
+            _plant_xi_at(patch, lam, q, image)
+            report = run_suite("preserve", max_size, 2, 0)
+        assert report.checked == checked, lam
+        assert report.failures == failures
 
 
 def test_closure_failures_come_k_by_k(monkeypatch):
@@ -512,18 +525,29 @@ def test_a_missing_addable_box_is_a_record(monkeypatch, capsys, suite, checked, 
     )
 
 
-def test_the_generation_law_checks_where_the_walk_ends(monkeypatch):
+# (partition, q, planted twisted image, max-size) and the checks and failures
+# of ideals at that max-size and (2, 0)
+PLANTED_WALK_FAULTS = [
     # the twisted generator -1 sends (2,) to (1, 1, 1), not (2, 1): still in
     # ideals 0 and 1, so every step stays in the ideal, but the walks through
     # (2,) towards a partition with a second row end elsewhere
-    _plant_xi_at(monkeypatch, (2,), -1, (1, 1, 1))
-    report = run_suite("ideals", 4, 2, 0)
-    assert report.checked == 306
-    assert report.failures == [
-        {"law": "generation-path", "k": k, "partition": lam}
-        for k in (0, 1)
-        for lam in [[2, 1], [2, 2], [2, 1, 1]]
-    ]
+    ((2,), -1, (1, 1, 1), 4, 306,
+     [{"law": "generation-path", "k": k, "partition": lam}
+      for k in (0, 1) for lam in [[2, 1], [2, 2], [2, 1, 1]]]),
+    # the twisted generator 11 kills (11,), whose true image is (12,): only
+    # the walks to (12,), of 12 boxes, take that step
+    ((11,), 11, None, 12, 3_034,
+     [{"law": "generation-path", "k": k, "partition": [12]} for k in (0, 1)]),
+]
+
+
+def test_the_generation_law_checks_where_the_walk_ends(monkeypatch):
+    for lam, q, image, max_size, checked, failures in PLANTED_WALK_FAULTS:
+        with monkeypatch.context() as patch:
+            _plant_xi_at(patch, lam, q, image)
+            report = run_suite("ideals", max_size, 2, 0)
+        assert report.checked == checked, lam
+        assert report.failures == failures
 
 
 def test_an_increasing_decoded_weight_is_a_record(monkeypatch):
@@ -623,11 +647,27 @@ def test_factorization_law_catches_a_planted_fault(monkeypatch):
     assert report.failures == PLANTED_FACTORIZATION_FAILURES
 
 
+# ... and when it sends (8,) to itself, past the first 20 partitions of
+# max-size 8; the true image is 0
+PLANTED_ZERO_WORD_FAILURES = [
+    {"law": "action-factors-through-diagrams", "u": [0], "v": [0, 1, 0]},
+    {"law": "action-factors-through-diagrams", "u": [-1, 0], "v": [-1, 0, 1, 0]},
+    {"law": "action-factors-through-diagrams", "u": [0, 0],
+     "v": [0, -2, 3, -3, -1, 1, -1]},
+    {"law": "zero-diagram-zero-action", "u": [0, 0]},
+]
+
+
 def test_zero_diagram_law_catches_a_planted_fault(monkeypatch):
-    _plant_xi_prime_image(monkeypatch, (), 0, ((1,), ()))
-    report = run_suite("fcs-basis", 5, 2, 0)
-    assert report.checked == 1106
-    assert report.failures == PLANTED_ZERO_DIAGRAM_FAILURES
+    for lam, image, max_size, failures in [
+        ((), ((1,), ()), 5, PLANTED_ZERO_DIAGRAM_FAILURES),
+        ((8,), ((8,),), 8, PLANTED_ZERO_WORD_FAILURES),
+    ]:
+        with monkeypatch.context() as patch:
+            _plant_xi_prime_image(patch, lam, 0, image)
+            report = run_suite("fcs-basis", max_size, 2, 0)
+        assert report.checked == 1106
+        assert report.failures == failures
 
 
 def test_collision_law_catches_a_planted_fault(monkeypatch):
@@ -744,54 +784,67 @@ def test_ideal_laws_catch_a_planted_fault(monkeypatch, lam, shift):
 
 
 # one planted fault per law of the ideal chain, the quasi-order and the label
-# sets, with the ideals suite at (4, 2, 0) and its checks and failures
+# sets, with the max-size at which the ideals suite runs (window 2, seed 0),
+# its checks and its failures
 PLANTED_IDEAL_FAULTS = {
     # staircase(2) reads cell 3, so it also enters ideal 3, which it does not
     # generate
     "staircase-cell": (
-        strata, "cell_index", ((2, 1),), 3, 307,
+        4, strata, "cell_index", ((2, 1),), 3, 307,
         [{"law": "chain-strictness", "k": 2}, {"law": "staircase-cell", "k": 2},
          {"law": "cell-index-consistency", "partition": [2, 1]},
          {"law": "generation-path", "k": 3, "partition": [2, 1]}],
     ),
     "chain-strictness": (
-        strata, "in_ideal", ((2, 1), 3), True, 307,
+        4, strata, "in_ideal", ((2, 1), 3), True, 307,
         [{"law": "chain-strictness", "k": 2},
          {"law": "generation-path", "k": 3, "partition": [2, 1]}],
     ),
     # (1,) in ideal 3 but without staircase(2)
     "ideal-chain": (
-        strata, "in_ideal", ((1,), 3), True, 307,
+        4, strata, "in_ideal", ((1,), 3), True, 307,
         [{"law": "ideal-chain", "partition": [1], "k": 2},
          {"law": "generation-path", "k": 3, "partition": [1]}],
     ),
     "quasi-order": (
-        strata, "quasi_order_compare", ((), (1,)), "Equal", 306,
+        4, strata, "quasi_order_compare", ((), (1,)), "Equal", 306,
         [{"law": "quasi-order", "a": [], "b": [1]}],
     ),
     # 5 joins the sizes of r = 3, so the label table gains the 7 partitions
     # of 5 at each of the ranks 1-3, and every flag of theirs holds
     "j-zero-subset": (
-        strata, "j_zero_set", (3,), {1, 3, 5}, 327,
+        4, strata, "j_zero_set", (3,), {1, 3, 5}, 327,
         [{"law": "j-zero-subset", "r": 3}],
     ),
     "j-set-difference": (
-        strata, "j_set", (4,), {0, 2, 4, 6}, 306,
+        4, strata, "j_set", (4,), {0, 2, 4, 6}, 306,
         [{"law": "j-set-difference", "r": 4}],
     ),
     # (2,) has cell index 1, so its summand at rank 2 is not projective
     "summand-flags": (
-        strata, "summand_labels", (2, 2), [((2,), True, True), ((1, 1), True, False)], 306,
+        4, strata, "summand_labels", (2, 2), [((2,), True, True), ((1, 1), True, False)], 306,
         [{"law": "summand-flags", "n": 2, "r": 2, "partition": [2]}],
+    ),
+    # at max-size 15 the chain laws reach staircase(5): it reads cell 6, so it
+    # also enters ideal 6
+    "chain-strictness-at-15": (
+        15, strata, "cell_index", ((5, 4, 3, 2, 1),), 6, 8_321,
+        [{"law": "chain-strictness", "k": 5}, {"law": "staircase-cell", "k": 5},
+         {"law": "cell-index-consistency", "partition": [5, 4, 3, 2, 1]}],
+    ),
+    # (6, 4, 3, 2) in ideal 6 but without staircase(5)
+    "ideal-chain-at-15": (
+        15, strata, "in_ideal", ((6, 4, 3, 2), 6), True, 8_321,
+        [{"law": "ideal-chain", "partition": [6, 4, 3, 2], "k": 5}],
     ),
 }
 
 
 @pytest.mark.parametrize("law", list(PLANTED_IDEAL_FAULTS))
 def test_chain_and_label_laws_catch_a_planted_fault(monkeypatch, law):
-    module, name, args, result, checked, failures = PLANTED_IDEAL_FAULTS[law]
+    max_size, module, name, args, result, checked, failures = PLANTED_IDEAL_FAULTS[law]
     _plant_result(monkeypatch, module, name, args, result)
-    report = run_suite("ideals", 4, 2, 0)
+    report = run_suite("ideals", max_size, 2, 0)
     assert report.checked == checked
     assert report.failures == failures
 
