@@ -16,6 +16,7 @@ produces a sum, so a product of generators is zero or exactly one of them.
 """
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -49,35 +50,36 @@ class TLDiagram:
         if len(self.bottom_arcs) != len(self.top_arcs):
             raise ValueError("lower and upper rows must carry equally many arcs")
 
-    def is_identity(self) -> bool:
-        return not self.bottom_arcs
 
-    def window(self) -> tuple[int, int]:
-        """Smallest interval containing every arc endpoint; (0, -1) if none."""
-        pts = [p for arc in self.bottom_arcs | self.top_arcs for p in arc]
-        if not pts:
-            return (0, -1)
-        return (min(pts), max(pts))
+def _partners(arcs: frozenset[tuple[int, int]]) -> dict[int, int]:
+    """Each arc end of one row, mapped to the other end of its arc."""
+    ends: dict[int, int] = {}
+    for i, j in arcs:
+        ends[i] = j
+        ends[j] = i
+    return ends
 
 
 def _check_arc_side(arcs: frozenset[tuple[int, int]]) -> None:
-    ends: set[int] = set()
+    """One pass over the sorted arc ends with a stack of open arcs: each
+    right end closes the innermost open arc, and while an arc is open the
+    ends are consecutive integers."""
     for i, j in arcs:
         if i >= j:
             raise ValueError(f"arc endpoints must satisfy i < j, got {(i, j)}")
-        for p in (i, j):
-            if p in ends:
-                raise ValueError(f"endpoint {p} used twice")
-            ends.add(p)
-    for i, j in arcs:
-        for p in range(i + 1, j):
-            if p not in ends:
-                raise ValueError(f"point {p} under arc {(i, j)} is unmatched")
-    srt = sorted(arcs)
-    for k, (i, j) in enumerate(srt):
-        for (i2, j2) in srt[k + 1 :]:
-            if i < i2 < j < j2:
-                raise ValueError(f"arcs {(i, j)} and {(i2, j2)} cross")
+    ends = _partners(arcs)
+    if len(ends) < 2 * len(arcs):
+        raise ValueError(f"two arcs of {sorted(arcs)} share an endpoint")
+    open_ends: list[int] = []  # right ends of the open arcs, innermost last
+    prev = 0
+    for p in sorted(ends):
+        if open_ends and p != prev + 1:
+            raise ValueError(f"point {prev + 1} under the arc ending at {open_ends[-1]} is unmatched")
+        if ends[p] > p:
+            open_ends.append(ends[p])
+        elif open_ends.pop() != p:
+            raise ValueError(f"arc {(ends[p], p)} crosses another arc")
+        prev = p
 
 
 IDENTITY = TLDiagram(frozenset(), frozenset())
@@ -104,69 +106,62 @@ def interval_diagram(a: int, b: int) -> TLDiagram:
     return TLDiagram(frozenset({(b, b + 1)}), frozenset({(a, a + 1)}))
 
 
-def _matching(d: TLDiagram, lo: int, hi: int, bot: str, top: str) -> dict:
-    """Full matching of d on the window [lo, hi], rows labelled bot/top."""
-    pairs: dict = {}
-    bot_ends: set[int] = set()
-    top_ends: set[int] = set()
-    for i, j in d.bottom_arcs:
-        pairs[(bot, i)] = (bot, j)
-        pairs[(bot, j)] = (bot, i)
-        bot_ends.update((i, j))
-    for i, j in d.top_arcs:
-        pairs[(top, i)] = (top, j)
-        pairs[(top, j)] = (top, i)
-        top_ends.update((i, j))
-    free_bot = [i for i in range(lo, hi + 1) if i not in bot_ends]
-    free_top = [i for i in range(lo, hi + 1) if i not in top_ends]
-    for x, y in zip(free_bot, free_top):
-        pairs[(bot, x)] = (top, y)
-        pairs[(top, y)] = (bot, x)
-    return pairs
+def _through_strands(lower: frozenset, upper: frozenset):
+    """The through strands from the row with arcs `lower` to the row with
+    arcs `upper`, as a map on free points: a free point keeps its rank among
+    the free points of its row, so it is read off the sorted arc ends."""
+    below = sorted(p for arc in lower for p in arc)
+    above = sorted(p for arc in upper for p in arc)
+    # the free point of rank r in the upper row is r + c, where c counts the
+    # ends e of that row with e - (its ends before e) <= r
+    shifts = [e - c for c, e in enumerate(above)]
+
+    def far_end(x: int) -> int:
+        rank = x - bisect(below, x)
+        return rank + bisect(shifts, rank)
+
+    return far_end
 
 
 def diagram_product(d1: Optional[TLDiagram], d2: Optional[TLDiagram]) -> Optional[TLDiagram]:
     """Compose monomials: d2 is stacked below d1 and acts first.
 
-    Strands are traced through the shared middle row; any closed loop kills
-    the product (the loop parameter is zero), so None is absorbing.
+    Only the strands that touch a middle arc change.  Each is traced from a
+    middle arc end that belongs to one factor alone, along the two factors'
+    middle arcs in turn, until it leaves the middle row: down through d2 or
+    up through d1.  A strand that leaves down at both ends is a new lower
+    arc, up at both ends a new upper arc.  A middle arc end that no trace
+    reaches lies on a closed loop, which kills the product (the loop
+    parameter is zero), so None is absorbing.
 
     >>> diagram_product(generator_diagram(3), generator_diagram(3)) is None
     True
     """
     if d1 is None or d2 is None:
         return None
-    if d2.is_identity():
-        return d1
-    if d1.is_identity():
-        return d2
-    lo = min(d1.window()[0], d2.window()[0])
-    hi = max(d1.window()[1], d2.window()[1])
-    low = _matching(d2, lo, hi, "b", "m")
-    up = _matching(d1, lo, hi, "m", "t")
-    bottom_arcs: set[tuple[int, int]] = set()
-    top_arcs: set[tuple[int, int]] = set()
-    seen_mid: set[int] = set()
-    done: set = set()
-    for i in range(lo, hi + 1):
-        for start in ((("b", i)), (("t", i))):
-            if start in done:
-                continue
-            done.add(start)
-            use_low = start[0] == "b"
-            cur = start
-            while True:
-                cur = (low if use_low else up)[cur]
-                if cur[0] == "m":
-                    seen_mid.add(cur[1])
-                    use_low = not use_low
-                    continue
-                done.add(cur)
-                break
-            if start[0] == cur[0]:  # both ends in one row: an arc
-                arc = (min(start[1], cur[1]), max(start[1], cur[1]))
-                (bottom_arcs if start[0] == "b" else top_arcs).add(arc)
-    if len(seen_mid) < hi - lo + 1:
+    low = _partners(d2.top_arcs)
+    up = _partners(d1.bottom_arcs)
+    down_end = _through_strands(d2.top_arcs, d2.bottom_arcs)
+    up_end = _through_strands(d1.bottom_arcs, d1.top_arcs)
+    bottom_arcs, top_arcs = set(d2.bottom_arcs), set(d1.top_arcs)
+    reached: set[int] = set()
+    for start in low.keys() ^ up.keys():
+        if start in reached:
+            continue
+        reached.add(start)
+        arcs, end = (low if start in low else up), start
+        while end in arcs:
+            end = arcs[end]
+            reached.add(end)
+            arcs = up if arcs is low else low
+        # start leaves through the factor that has no arc there, end
+        # through the factor of `arcs`; leaving both ways is a through strand
+        leaves_up = start in low
+        if leaves_up == (arcs is up):
+            far = up_end if leaves_up else down_end
+            a, b = far(start), far(end)
+            (top_arcs if leaves_up else bottom_arcs).add((a, b) if a < b else (b, a))
+    if len(reached) < len(low.keys() | up.keys()):
         return None
     return TLDiagram(frozenset(bottom_arcs), frozenset(top_arcs))
 

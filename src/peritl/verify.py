@@ -345,22 +345,24 @@ def _suite_ideals(run, max_size, window, rng, table):
         )
     # generation of ideal members by single-box twisted steps: from
     # staircase(k), add the boxes of lam row by row, each left to right, and
-    # stay in ideal k up to lam itself
+    # stay in ideal k up to lam itself.  That walk is the walk to lam less
+    # the last box of its lowest row past staircase(k), enumerated earlier,
+    # plus one step; `arrived` holds the partitions whose walk arrived
     for k in range(reach):
+        stair, arrived = staircase(k), set()
         for lam in enumerate_partitions(max_size):
             if not strata.in_ideal(lam, k):
                 continue
-            cur = staircase(k)
-            contents = (j - i for i, part in enumerate(lam) for j in range(max(k - i, 0), part))
-            for q in contents:
-                cur = next(iter(fock.images(cur, q, "xi", table)), None)
-                if cur is None or not strata.in_ideal(cur, k):
-                    break
             # a cell index that reads too high admits lam without staircase(k)
-            run.check(
-                contains(lam, staircase(k)) and cur == lam,
-                law="generation-path", k=k, partition=list(lam),
-            )
+            ok = contains(lam, stair)
+            if ok and lam != stair:
+                i = max(r for r, part in enumerate(lam) if part > k - r)
+                q = lam[i] - 1 - i
+                prev = remove_box(lam, q)
+                ok = prev in arrived and fock.images(prev, q, "xi", table) == (lam,)
+            if ok:
+                arrived.add(lam)
+            run.check(ok, law="generation-path", k=k, partition=list(lam))
     # quasi-order versus cell indices
     sample = [(), (1,), (2,), (2, 1), (3, 2, 1), (4, 2, 1)]
     for lam in sample:

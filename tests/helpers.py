@@ -4,7 +4,9 @@ The partition oracles work on raw sets of (row, col) boxes, deliberately
 sharing no code with the library's row-length representation.  The
 normal-form oracle is an exhaustive search over the library's planar
 diagrams, sharing no code with the insertion algorithm of `normalize`.  The
-d-set search, the domino-stripping loop, the full-vector bottom sector, the
+window-tracing diagram product and the point-by-point arc validator are the
+library's earlier diagram layer, kept as references for composition and
+validation from the arc ends alone.  The d-set search, the domino-stripping loop, the full-vector bottom sector, the
 staircase-by-staircase cell index and the box-set hook deleter are the
 library's earlier algorithms, kept as references for the direct
 constructions that replaced them; the rescanning box-addition path is the
@@ -44,7 +46,7 @@ from peritl.partitions import (
     staircase,
 )
 from peritl.strata import cell_index
-from peritl.tl import IDENTITY, diagram_product, fcs_to_word, interval_diagram
+from peritl.tl import IDENTITY, TLDiagram, diagram_product, fcs_to_word, interval_diagram
 from peritl.verify import VerifyReport
 from peritl.weights import d_set, d_tilde
 
@@ -282,6 +284,96 @@ def oracle_normal_forms(lo: int, hi: int) -> dict:
 
     rec((), IDENTITY, hi + 2, hi + 2)
     return index
+
+
+def oracle_check_arc_side(arcs) -> None:
+    """Validate one row of arcs point by point: every point under an arc is
+    an arc end, and no two arcs cross, by comparing every pair."""
+    ends: set[int] = set()
+    for i, j in arcs:
+        if i >= j:
+            raise ValueError(f"arc endpoints must satisfy i < j, got {(i, j)}")
+        for p in (i, j):
+            if p in ends:
+                raise ValueError(f"endpoint {p} used twice")
+            ends.add(p)
+    for i, j in arcs:
+        for p in range(i + 1, j):
+            if p not in ends:
+                raise ValueError(f"point {p} under arc {(i, j)} is unmatched")
+    srt = sorted(arcs)
+    for k, (i, j) in enumerate(srt):
+        for (i2, j2) in srt[k + 1 :]:
+            if i < i2 < j < j2:
+                raise ValueError(f"arcs {(i, j)} and {(i2, j2)} cross")
+
+
+def _window(d: TLDiagram) -> tuple[int, int]:
+    """Smallest interval containing every arc end of d; (0, -1) if none."""
+    pts = [p for arc in d.bottom_arcs | d.top_arcs for p in arc]
+    return (min(pts), max(pts)) if pts else (0, -1)
+
+
+def _oracle_matching(d: TLDiagram, lo: int, hi: int, bot: str, top: str) -> dict:
+    """Full matching of d on the window [lo, hi], rows labelled bot/top."""
+    pairs: dict = {}
+    bot_ends: set[int] = set()
+    top_ends: set[int] = set()
+    for i, j in d.bottom_arcs:
+        pairs[(bot, i)] = (bot, j)
+        pairs[(bot, j)] = (bot, i)
+        bot_ends.update((i, j))
+    for i, j in d.top_arcs:
+        pairs[(top, i)] = (top, j)
+        pairs[(top, j)] = (top, i)
+        top_ends.update((i, j))
+    free_bot = [i for i in range(lo, hi + 1) if i not in bot_ends]
+    free_top = [i for i in range(lo, hi + 1) if i not in top_ends]
+    for x, y in zip(free_bot, free_top):
+        pairs[(bot, x)] = (top, y)
+        pairs[(top, y)] = (bot, x)
+    return pairs
+
+
+def oracle_diagram_product(d1: TLDiagram | None, d2: TLDiagram | None) -> TLDiagram | None:
+    """Compose d1 over d2 by matching every point of the window between the
+    factors' outermost arc ends and tracing each strand from the outer rows;
+    a middle point that no strand visits lies on a loop, which kills it."""
+    if d1 is None or d2 is None:
+        return None
+    if not d2.bottom_arcs:
+        return d1
+    if not d1.bottom_arcs:
+        return d2
+    lo = min(_window(d1)[0], _window(d2)[0])
+    hi = max(_window(d1)[1], _window(d2)[1])
+    low = _oracle_matching(d2, lo, hi, "b", "m")
+    up = _oracle_matching(d1, lo, hi, "m", "t")
+    bottom_arcs: set[tuple[int, int]] = set()
+    top_arcs: set[tuple[int, int]] = set()
+    seen_mid: set[int] = set()
+    done: set = set()
+    for i in range(lo, hi + 1):
+        for start in (("b", i), ("t", i)):
+            if start in done:
+                continue
+            done.add(start)
+            use_low = start[0] == "b"
+            cur = start
+            while True:
+                cur = (low if use_low else up)[cur]
+                if cur[0] == "m":
+                    seen_mid.add(cur[1])
+                    use_low = not use_low
+                    continue
+                done.add(cur)
+                break
+            if start[0] == cur[0]:  # both ends in one row: an arc
+                arc = (min(start[1], cur[1]), max(start[1], cur[1]))
+                (bottom_arcs if start[0] == "b" else top_arcs).add(arc)
+    if len(seen_mid) < hi - lo + 1:
+        return None
+    return TLDiagram(frozenset(bottom_arcs), frozenset(top_arcs))
 
 
 def oracle_partition_from_d_set(subset, n: int) -> Partition:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -27,7 +28,13 @@ from peritl.tl import (
     word_to_diagram,
 )
 
-from helpers import ORACLE_MAX_WIDTH, oracle_minimal_part, oracle_normal_forms
+from helpers import (
+    ORACLE_MAX_WIDTH,
+    oracle_check_arc_side,
+    oracle_diagram_product,
+    oracle_minimal_part,
+    oracle_normal_forms,
+)
 
 
 def catalan(n):
@@ -44,16 +51,89 @@ def test_generator_diagram():
 
 
 def test_diagram_validation():
+    nest = frozenset({(0, 3), (1, 2)})
+    assert TLDiagram(nest, frozenset({(0, 1), (2, 3)})).bottom_arcs == nest
     with pytest.raises(ValueError):
         TLDiagram(frozenset({(1, 0)}), frozenset({(0, 1)}))
     with pytest.raises(ValueError):  # unmatched point under an arc
         TLDiagram(frozenset({(0, 3)}), frozenset({(0, 3)}))
+    with pytest.raises(ValueError):  # point 3 unmatched under the outer arc
+        TLDiagram(frozenset({(0, 4), (1, 2)}), frozenset({(0, 1), (2, 3)}))
     with pytest.raises(ValueError):  # crossing arcs
         TLDiagram(
             frozenset({(0, 2), (1, 3)}), frozenset({(0, 1), (2, 3)})
         )
+    with pytest.raises(ValueError):  # crossing arcs inside an outer arc
+        TLDiagram(
+            frozenset({(0, 5), (1, 3), (2, 4)}), frozenset({(0, 1), (2, 3), (4, 5)})
+        )
     with pytest.raises(ValueError):  # unbalanced arc counts
         TLDiagram(frozenset({(0, 1)}), frozenset())
+
+
+def _accepted(check, arcs) -> bool:
+    try:
+        check(arcs)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def arc_rows(draw):
+    """A row of arcs: random pairs, a random pairing of the points 0..2n-1
+    (no gaps, often crossing), or the lower row of a random word's diagram
+    with a few arcs toggled in or out."""
+    pair = st.tuples(st.integers(-2, 9), st.integers(-2, 9))
+    kind = draw(st.sampled_from(["pairs", "pairing", "word"]))
+    if kind == "pairs":
+        return draw(st.frozensets(pair, max_size=6))
+    if kind == "pairing":
+        points = draw(st.permutations(range(2 * draw(st.integers(1, 4)))))
+        return frozenset((min(pt), max(pt)) for pt in zip(points[::2], points[1::2]))
+    d = word_to_diagram(draw(st.lists(st.integers(0, 6), max_size=8)))
+    arcs = set() if d is None else set(d.bottom_arcs)
+    for arc in draw(st.lists(pair, max_size=2)):
+        arcs ^= {arc}
+    return frozenset(arcs)
+
+
+@given(arc_rows())
+@settings(max_examples=400, deadline=None)
+def test_arc_validation_matches_the_point_by_point_oracle(arcs):
+    built = _accepted(lambda row: TLDiagram(row, row), arcs)
+    assert built == _accepted(oracle_check_arc_side, arcs)
+
+
+def _oracle_word_diagram(word):
+    d = IDENTITY
+    for q in word:
+        d = oracle_diagram_product(d, generator_diagram(q))
+    return d
+
+
+def test_diagram_product_matches_the_window_oracle_on_short_words():
+    words = [w for n in range(4) for w in itertools.product(range(-2, 3), repeat=n)]
+    diagrams = [word_to_diagram(w) for w in words]
+    for u, du in zip(words, diagrams):
+        for v, dv in zip(words, diagrams):
+            assert diagram_product(du, dv) == oracle_diagram_product(du, dv), (u, v)
+
+
+@given(
+    st.integers(-10**12, 10**12),
+    st.lists(st.integers(0, 10), max_size=8),
+    st.lists(st.integers(0, 10), max_size=8),
+)
+@settings(max_examples=300, deadline=None)
+def test_diagram_product_matches_the_window_oracle_far_out(offset, u, v):
+    # generators offset..offset+10 touch the 12 points offset..offset+11
+    u = [offset + q for q in u]
+    v = [offset + q for q in v]
+    du, ou = word_to_diagram(u), _oracle_word_diagram(u)
+    dv, ov = word_to_diagram(v), _oracle_word_diagram(v)
+    assert (du, dv) == (ou, ov)
+    assert diagram_product(du, dv) == oracle_diagram_product(ou, ov)
 
 
 def test_diagram_product_relations():
