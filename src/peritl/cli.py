@@ -4,8 +4,8 @@ All commands read simple flags, print a single JSON document on stdout, and
 are byte-deterministic for fixed inputs.  Exit codes: 0 success, 1
 verification failures, 2 usage or parse errors, 3 domain precondition
 violations or inputs too large to evaluate, 4 internal invariant violations
-(a `RuntimeError` raised by a cross-check of the library; reported as one
-`error:` line on stderr).
+(a `RuntimeError` raised by the library; reported as one `error:` line on
+stderr).
 
 Partitions are comma-separated parts, largest first, with the empty string
 for the empty partition; words are comma-separated generator indices,

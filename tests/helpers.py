@@ -6,7 +6,10 @@ normal-form oracle is an exhaustive search over the library's planar
 diagrams, sharing no code with the insertion algorithm of `normalize`.  The
 window-tracing diagram product and the point-by-point arc validator are the
 library's earlier diagram layer, kept as references for composition and
-validation from the arc ends alone.  The d-set search, the domino-stripping loop, the full-vector bottom sector, the
+validation from the arc ends alone.  The closed-form interval diagram and
+the per-interval product of a fully commutative word are the normal-form
+diagrams that `normalize` once rechecked its answers against.  The d-set
+search, the domino-stripping loop, the full-vector bottom sector, the
 staircase-by-staircase cell index and the box-set hook deleter are the
 library's earlier algorithms, kept as references for the direct
 constructions that replaced them; the rescanning box-addition path is the
@@ -14,8 +17,9 @@ one the generation tests walk.  The d-set surgery classifier restates the
 rule that `verify` checks inline, and the per-partition relation loop
 restates through `apply_word` the relation laws that `verify` checks on
 image lists read from its table.  The law-name readers list the `verify`
-laws that no test names, and the `RuntimeError` reader lists the run-time
-cross-checks of the library; tier-1 pins both.
+laws that no test names, the `RuntimeError` reader lists the run-time
+cross-checks of the library, and the operation reader lists its exported
+operations; tier-1 pins all three.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 import peritl
-from peritl import verify
+from peritl import cli, verify
 from peritl.fock import apply_word, support_bounds
 from peritl.partitions import (
     Partition,
@@ -46,7 +50,7 @@ from peritl.partitions import (
     staircase,
 )
 from peritl.strata import cell_index
-from peritl.tl import IDENTITY, TLDiagram, diagram_product, fcs_to_word, interval_diagram
+from peritl.tl import IDENTITY, TLDiagram, diagram_product, fcs_to_word
 from peritl.verify import VerifyReport
 from peritl.weights import d_set, d_tilde
 
@@ -264,6 +268,24 @@ def partition_count(n: int) -> int:
                 table[m - maxpart][min(maxpart, m - maxpart)] if maxpart <= m else 0
             )
     return table[n][n]
+
+
+def interval_diagram(a: int, b: int) -> TLDiagram:
+    """Closed form of the ascending run a, a+1, ..., b of generators.
+
+    Its only lower arc is (b, b+1) and its only upper arc is (a, a+1); the
+    strands between shift by two."""
+    if a > b:
+        raise ValueError("need a <= b")
+    return TLDiagram(frozenset({(b, b + 1)}), frozenset({(a, a + 1)}))
+
+
+def fcs_to_diagram(w) -> TLDiagram | None:
+    """Diagram of a fully commutative monomial, one product per interval."""
+    d: TLDiagram | None = IDENTITY
+    for a, b in w:
+        d = diagram_product(d, interval_diagram(a, b))
+    return d
 
 
 @lru_cache(maxsize=None)
@@ -523,6 +545,18 @@ def untested_law_names() -> set[str]:
         pins.sub("", path.read_text()) for path in Path(__file__).parent.glob("test_*.py")
     )
     return {name for name in verify_law_names() if f'"{name}"' not in text}
+
+
+def exported_operations() -> dict:
+    """The public operations of the library, the functions exported by
+    peritl plus the cli.cmd_* command bodies, as a map from each code object
+    to "module.name"."""
+    commands = {k: v for k, v in vars(cli).items() if k.startswith("cmd_")}
+    return {
+        fn.__code__: f"{fn.__module__.rsplit('.', 1)[-1]}.{name}"
+        for name, fn in {**vars(peritl), **commands}.items()
+        if inspect.isfunction(fn)
+    }
 
 
 def runtime_error_sites() -> dict[str, int]:

@@ -34,7 +34,6 @@ from peritl.strata import (
 from peritl.tl import (
     bottom_sector,
     fcs_length,
-    fcs_to_diagram,
     fcs_to_word,
     fcs_words_in_range,
     faithfulness_witness,
@@ -52,6 +51,7 @@ from peritl.weights import (
 
 from helpers import (
     child_env,
+    fcs_to_diagram,
     oracle_box_addition_path,
     oracle_min_balanced,
     oracle_xi,

@@ -322,11 +322,12 @@ def test_exit_codes(capsys, monkeypatch):
     assert err == "error: internal invariant violated: synthetic failure\n"
 
 
-def test_exit_four_comes_only_from_normalize():
-    # the run-time cross-checks left in the library: normalize's, which exit
-    # 4, and closed_form_weight's, which verify records and no command
-    # reaches.  A new one fails here until README and this pin list it.
-    assert runtime_error_sites() == {"tl.normalize": 3, "weights.closed_form_weight": 2}
+def test_runtime_error_sites_are_pinned():
+    # the run-time cross-checks left in the library: closed_form_weight's,
+    # which verify records and no command reaches, so no command exits 4
+    # (the synthetic fault of test_exit_codes shows the path).  A new one
+    # fails here until README and this pin list it.
+    assert runtime_error_sites() == {"weights.closed_form_weight": 2}
 
 
 # Address-space cap of the child below: the rim of a 10**20-box row never fits.
@@ -397,9 +398,12 @@ def _found(argv, stdout, reason):
     (["normalize", "--word", "0,1000000"], 0, "[[1000000,1000000],[0,0]]\n"),
     (["normalize", "--word", "0,100000000000000000000"], 0,
      "[[100000000000000000000,100000000000000000000],[0,0]]\n"),
+    # 10,000 commuting letters: each letter is placed once, never rescanned
+    (["normalize", "--word", ",".join(map(str, range(0, 20000, 2)))], 0,
+     "[" + ",".join(f"[{q},{q}]" for q in range(19998, -1, -2)) + "]\n"),
 ], ids=["cell", "weight", "act-xi-prime", "act-xi-add", "act-xi-removable",
         "act-xi-outside", "witness", "act-xi-row", "act-xi-square",
-        "act-xi-long-row", "normalize-span", "normalize-huge-span"])
+        "act-xi-long-row", "normalize-span", "normalize-huge-span", "normalize-commuting"])
 def test_cost_follows_input_size_not_magnitude(argv, code, stdout):
     # only ever run under both caps: several of these hang or fill memory uncapped
     run = subprocess.run(

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from peritl import tl
 from peritl.fock import apply_word
 from peritl.partitions import check_partition, enumerate_partitions
 from peritl.tl import (
@@ -18,11 +19,9 @@ from peritl.tl import (
     element_to_json,
     faithfulness_witness,
     fcs_length,
-    fcs_to_diagram,
     fcs_to_word,
     fcs_words_in_range,
     generator_diagram,
-    interval_diagram,
     normalize,
     witness_partition,
     word_to_diagram,
@@ -30,6 +29,8 @@ from peritl.tl import (
 
 from helpers import (
     ORACLE_MAX_WIDTH,
+    fcs_to_diagram,
+    interval_diagram,
     oracle_check_arc_side,
     oracle_diagram_product,
     oracle_minimal_part,
@@ -159,6 +160,24 @@ def test_word_to_diagram():
     assert nested.top_arcs == frozenset({(2, 3)})
 
 
+def test_word_to_diagram_with_prefixes_matches_without():
+    # one dict for every word, so later words read earlier prefixes,
+    # zero prefixes included
+    prefixes = {}
+    words = [word for n in range(6) for word in itertools.product(range(-3, 4), repeat=n)]
+    rng = random.Random(16)
+    words += [tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 10)))
+              for _ in range(2000)]
+    zero = 0
+    for word in words:
+        want = word_to_diagram(word)
+        assert word_to_diagram(word, prefixes) == want, word
+        assert prefixes.get(word, want) == want
+        zero += want is None
+    assert 0 < zero < len(words)
+    assert all(word[:-1] in prefixes for word in prefixes if len(word) > 1)
+
+
 def test_interval_closed_form():
     for a in range(-4, 4):
         for b in range(a, 5):
@@ -191,6 +210,16 @@ def test_normalize_examples():
     # far-apart letters commute, whatever the span of the word
     assert normalize([10, -10]) == ((10, 10), (-10, -10))
     assert normalize([7, 8, 7, -5]) == ((7, 7), (-5, -5))
+
+
+def test_normalize_and_products_build_no_diagram(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a diagram was composed")
+
+    monkeypatch.setattr(tl, "diagram_product", refuse)
+    assert normalize([1, 2, 3, 0, 1]) == ((1, 3), (0, 1))
+    assert normalize([3, 4, 3, 3]) is None
+    assert element_multiply({((0, 1),): 2}, {((-1, 0),): 3}) == {((0, 1), (-1, 0)): 6}
 
 
 def test_fcs_enumeration_is_catalan_complete():

@@ -1,16 +1,13 @@
 import cProfile
 import importlib.util
 import inspect
-import itertools
 import json
-import random
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-import peritl
 from peritl import cli, fock, strata, tl, verify, weights
 from peritl.partitions import (
     add_box,
@@ -21,7 +18,12 @@ from peritl.partitions import (
 )
 from peritl.verify import SUITE_NAMES, run_suite
 
-from helpers import oracle_relation_report, untested_law_names, verify_law_names
+from helpers import (
+    exported_operations,
+    oracle_relation_report,
+    untested_law_names,
+    verify_law_names,
+)
 
 
 @pytest.mark.parametrize("suite", [s for s in SUITE_NAMES if s != "all"])
@@ -78,12 +80,7 @@ def test_traced_all_keeps_a_span_per_suite(monkeypatch):
 def missed_operations(suite: str) -> list[str]:
     """Public operations (the functions exported by peritl plus the cli.cmd_*
     command bodies) that a profiled `run_suite` run of `suite` never called."""
-    commands = {k: v for k, v in vars(cli).items() if k.startswith("cmd_")}
-    operations = {
-        fn.__code__: f"{fn.__module__.rsplit('.', 1)[-1]}.{name}"
-        for name, fn in {**vars(peritl), **commands}.items()
-        if inspect.isfunction(fn)
-    }
+    operations = exported_operations()
     assert len(operations) == 48
     prof = cProfile.Profile()
     report = prof.runcall(run_suite, suite, max_size=6, window=2, seed=0)
@@ -584,6 +581,13 @@ PLANTED_FACTORIZATION_FAILURES = [
     {"law": "action-factors-through-diagrams", "u": [1], "v": [1, 0, -1, 0, 1]},
     {"law": "action-factors-through-diagrams", "u": [-1], "v": [-1, 0, -1]},
     {"law": "action-factors-through-diagrams", "u": [0, -2], "v": [-2, 0]},
+    # a product of two words acts on the witness partition of the longer
+    {"law": "associativity",
+     "words": [((2, 2), (1, 1), (-2, -2)), ((0, 1), (-1, 0)), ((1, 1), (-2, -2))]},
+    {"law": "associativity",
+     "words": [((0, 0), (-1, -1), (-2, -2)), ((2, 2), (1, 1)), ((1, 2), (0, 0), (-1, -1))]},
+    {"law": "associativity",
+     "words": [((-1, 0), (-2, -1)), ((0, 1), (-1, -1), (-2, -2)), ((2, 2), (-2, -2))]},
 ]
 
 # ... and when it sends () to (1,) + (); the true image is (1,)
@@ -638,6 +642,42 @@ def test_roundtrip_law_catches_a_planted_fault(monkeypatch):
     report = run_suite("fcs-basis", 5, 2, 0)
     assert report.checked == 1106
     assert report.failures == [{"law": "normal-form-roundtrip", "word": ((1, 1), (0, 0))}]
+
+
+def _plant_normal_form(monkeypatch, word, change):
+    """`tl.normalize` answers `change(nf)` for the letters `word`, where nf is
+    the true normal form, whoever calls it."""
+    true_normalize = tl.normalize
+
+    def planted(letters):
+        nf = true_normalize(letters)
+        return change(nf) if list(letters) == word else nf
+
+    monkeypatch.setattr(tl, "normalize", planted)
+
+
+@pytest.mark.parametrize("word, change, failures", [
+    # drops the last interval of ((3, 3), (1, 1), (-3, -2))
+    ([3, 1, -3, -2], lambda nf: nf[:-1],
+     [{"law": "action-factors-through-diagrams", "u": [3, 1, -3, -2], "v": [3, -3, 1, -2]}]),
+    # calls e_0 e_-3, drawn twice, zero
+    ([0, -3], lambda nf: None,
+     [{"law": "action-factors-through-diagrams", "u": [0, -3], "v": [-3, 0]}] * 2),
+])
+def test_factorization_law_checks_normalize_against_the_diagram(monkeypatch, word, change, failures):
+    _plant_normal_form(monkeypatch, word, change)
+    report = run_suite("fcs-basis", 5, 2, 0)
+    assert report.checked == 1106
+    assert report.failures == failures
+
+
+def test_factorization_law_records_a_normal_form_that_is_not_fully_commutative(monkeypatch):
+    # the starts of ((0, 0), (-3, -3)) listed the wrong way round
+    _plant_normal_form(monkeypatch, [0, -3], lambda nf: nf[::-1])
+    report = run_suite("fcs-basis", 5, 2, 0)
+    assert report.checked == 1106
+    assert report.failures == [
+        {"law": "action-factors-through-diagrams", "u": [0, -3], "v": [-3, 0]}] * 2
 
 
 def test_factorization_law_catches_a_planted_fault(monkeypatch):
@@ -849,6 +889,50 @@ def test_chain_and_label_laws_catch_a_planted_fault(monkeypatch, law):
     assert report.failures == failures
 
 
+def test_associativity_law_catches_a_negated_product(monkeypatch):
+    # (ab)c = a(bc) survives negating every product; the action of ab on the
+    # witness partition of the longer of a and b does not, whenever ab is
+    # nonzero
+    true_multiply = tl.element_multiply
+
+    def planted(x, y):
+        return {w: -c for w, c in true_multiply(x, y).items()}
+
+    monkeypatch.setattr(tl, "element_multiply", planted)
+    report = run_suite("fcs-basis", 4, 2, 0)
+    assert report.checked == 1106
+    assert len(report.failures) == 28
+    assert all(
+        f["law"] == "associativity" and true_multiply({f["words"][0]: 1}, {f["words"][1]: 1})
+        for f in report.failures
+    )
+    assert report.failures[0] == {
+        "law": "associativity",
+        "words": [((2, 2), (1, 1), (-2, -2)), ((-1, -1), (-2, -2)), ((0, 1), (-2, -1))],
+    }
+
+
+def test_a_product_that_is_not_fully_commutative_is_an_associativity_record(monkeypatch):
+    # the product with the left factor e_1 e_2 e_0 e_1 reads ((0, 0), (1, 1)),
+    # whose starts increase; every triple that meets it is one failed check
+    true_multiply = tl.element_multiply
+
+    def planted(x, y):
+        return {((0, 0), (1, 1)): 1} if x == {((1, 2), (0, 1)): 1} else true_multiply(x, y)
+
+    monkeypatch.setattr(tl, "element_multiply", planted)
+    report = run_suite("fcs-basis", 4, 2, 0)
+    assert report.checked == 1106
+    assert report.failures == [
+        {"law": "associativity", "words": [((-2, -2),), ((1, 2), (0, 1)), ((0, 0),)]},
+        {"law": "associativity", "words": [((2, 2),), ((1, 2), (0, 1)), ((1, 2),)]},
+        {"law": "associativity", "words": [
+            ((2, 2), (0, 0), (-1, -1), (-2, -2)), ((1, 2), (0, 1)), ((2, 2), (0, 0), (-2, -2))]},
+        {"law": "associativity", "words": [
+            ((1, 2), (0, 1)), ((2, 2), (1, 1), (0, 0), (-1, -1)), ((2, 2), (1, 1), (-1, -1), (-2, -2))]},
+    ]
+
+
 def test_associativity_law_catches_a_planted_fault(monkeypatch):
     # the product with the left factor e_1 e_2 e_0 e_1 drops its one term
     true_multiply = tl.element_multiply
@@ -862,25 +946,6 @@ def test_associativity_law_catches_a_planted_fault(monkeypatch):
     assert report.failures == [
         {"law": "associativity", "words": [((-2, -2),), ((1, 2), (0, 1)), ((0, 0),)]},
     ]
-
-
-def test_prefix_diagram_matches_word_to_diagram():
-    # one dict for every word, so later words read earlier prefixes,
-    # zero prefixes included
-    diagrams, interned = {(): tl.IDENTITY}, {}
-    words = [word for n in range(6) for word in itertools.product(range(-3, 4), repeat=n)]
-    rng = random.Random(16)
-    words += [tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 10)))
-              for _ in range(2000)]
-    zero = 0
-    for word in words:
-        want = tl.word_to_diagram(word)
-        assert verify._prefix_diagram(word, diagrams, interned) == want, word
-        zero += want is None
-    assert 0 < zero < len(words)
-    assert all(word[:-1] in diagrams for word in diagrams if word)
-    # equal diagrams of different words are one object
-    assert len({id(diag) for diag in diagrams.values()}) == len(set(diagrams.values()))
 
 
 # the failures of tl-prime-relations at (4, 3, 0) when the plain index-1
