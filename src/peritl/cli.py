@@ -4,8 +4,9 @@ All commands read simple flags, print a single JSON document on stdout, and
 are byte-deterministic for fixed inputs.  Exit codes: 0 success, 1
 verification failures, 2 usage or parse errors, 3 domain precondition
 violations or inputs too large to evaluate, 4 internal invariant violations
-(a `RuntimeError` raised by the library; reported as one `error:` line on
-stderr).
+(a `RuntimeError` raised by the library, or any other exception that a
+command or a `verify` suite raises, named by its type; reported as one
+`error:` line on stderr, with nothing on stdout).
 
 Partitions are comma-separated parts, largest first, with the empty string
 for the empty partition; words are comma-separated generator indices,
@@ -300,8 +301,12 @@ def main(argv=None) -> int:
         message = str(exc) or type(exc).__name__
         sys.stderr.write(f"error: input too large to evaluate: {message}\n")
         return 3
-    except RuntimeError as exc:
+    except Exception as exc:
+        # a RuntimeError is a library cross-check; any other exception is a
+        # fault in the library, named by its type
         message = " ".join(str(exc).split())
+        if not isinstance(exc, RuntimeError):
+            message = f"{type(exc).__name__}: {message}"
         sys.stderr.write(f"error: internal invariant violated: {message}\n")
         return 4
 

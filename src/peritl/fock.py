@@ -107,22 +107,36 @@ def xi_prime_on_partition(lam: Partition, q: int) -> tuple[Partition, ...]:
 
 def images(lam: Partition, q: int, rep: str = "xi", table: Optional[dict] = None) -> tuple:
     """The images of lam under the index-q generator of `rep`, one per term,
-    as a run's image table holds them (a twisted zero is ()).  `table`, a
-    dict the caller owns for one computation, is read under the key
-    (rep, lam, q) and filled there on a miss.
+    as a run's image table holds them (a twisted zero is ()).
+
+    `table`, a dict the caller owns for one computation, is read and filled
+    here.  Under the key (rep, q) it holds a row, a dict mapping lam to its
+    images; under None it holds the pool, which maps each partition the
+    table stores (a row key or an image) and each twisted image (kappa,) to
+    its one copy, so equal partitions and equal twisted images are one
+    object per table.
 
     >>> images((2, 1), 2, "xi-prime")
     ((3, 1), (1, 1))
     """
-    if table is not None and (found := table.get((rep, lam, q))) is not None:
-        return found
+    row = None
+    if table is not None:
+        row = table.get((rep, q))
+        if row is None:
+            row = table[rep, q] = {}
+        elif (found := row.get(lam)) is not None:
+            return found
     if rep == "xi":
         kappa = xi_on_partition(lam, q)
         found = () if kappa is None else (kappa,)
     else:
         found = xi_prime_on_partition(lam, q)
-    if table is not None:
-        table[rep, lam, q] = found
+    if row is not None:
+        pool = table.setdefault(None, {})
+        found = tuple(pool.setdefault(mu, mu) for mu in found)
+        if rep == "xi":
+            found = pool.setdefault(found, found)
+        row[pool.setdefault(lam, lam)] = found
     return found
 
 
@@ -138,7 +152,8 @@ def apply_word(
     `xi_prime_on_partition` (rep "xi-prime").
 
     `table`, when given, holds the single-partition images, read and filled
-    as `images` does; without it every image is computed afresh.
+    as `images` does (one row lookup per letter, then one per term); without
+    it every image is computed afresh.
 
     >>> apply_word({(): 1}, [0, 1, 0], "xi")
     {(1,): 1}
@@ -150,8 +165,9 @@ def apply_word(
     cur = dict(vec)
     for q in reversed(list(word)):
         out: FockVector = {}
+        row = None if table is None else table.get((rep, q))
         for lam, coeff in cur.items():
-            if table is None or (terms := table.get((rep, lam, q))) is None:
+            if row is None or (terms := row.get(lam)) is None:
                 terms = images(lam, q, rep, table)
             for kappa in terms:
                 new = out.get(kappa, 0) + coeff

@@ -380,11 +380,24 @@ def _suite_ideals(run, max_size, window, rng, table):
         if r > 0:
             extra = {0} if r % 2 == 0 else set()
             run.check(js - jz == extra, law="j-set-difference", r=r)
+    # the labels of the r-th tensor power against an independent model: the
+    # partitions the box tensor reaches from () in r twisted steps
+    supports = [{()}]
+    for r in range(1, 7):
+        reached: set = set()
+        for nu in supports[-1]:
+            qmin, qmax = fock.support_bounds(nu)
+            for q in range(qmin, qmax + 1):
+                reached.update(fock.images(nu, q, "xi", table))
+        supports.append(reached)
     for n in range(1, 4):
         for r in range(7):
-            for lam, appears, projective in strata.summand_labels(n, r):
+            labels = strata.summand_labels(n, r)
+            for i, (lam, appears, projective) in enumerate(labels):
                 run.check(
                     sum(lam) in strata.j_zero_set(r)
+                    and lam in supports[r]
+                    and (i > 0 or len(labels) == len(supports[r]))
                     and appears == (strata.cell_index(lam) <= n)
                     and projective == (appears and strata.cell_index(lam) == n)
                     and (not projective or appears),
@@ -438,7 +451,17 @@ def _suite_fcs_basis(run, max_size, window, rng, table):
     # negative, so images agree, or are zero, exactly when every column does.
     # lam_range stops at 10 boxes: a wider one moves no check count, and 22 ran over 10x slower.
     lam_range = list(enumerate_partitions(min(max_size, 10)))
-    weighted: dict = {}  # shift -> sum_k 2**(shift * k) lam_k
+    # a word acts rightmost letter first, so its last letter's image of the
+    # operand is shared by every word that ends in it
+    weighted: dict = {}  # (shift, q) -> T_q applied to sum_k 2**(shift * k) lam_k
+
+    def act(word, shift):
+        first = (shift, word[-1])
+        if first not in weighted:
+            x = {lam: 1 << shift * k for k, lam in enumerate(lam_range)}
+            weighted[first] = fock.apply_word(x, word[-1:], "xi-prime", table)
+        return fock.apply_word(weighted[first], word[:-1], "xi-prime", table)
+
     for _ in range(500):
         u = [rng.randint(-3, 3) for _ in range(rng.randint(1, 8))]
         v = _rewrite(u, rng) if rng.random() < 0.5 else [
@@ -452,11 +475,8 @@ def _suite_fcs_basis(run, max_size, window, rng, table):
             same = False
         if du == dv or du is None:
             shift = _column_bits(max(len(u), len(v)))
-            if shift not in weighted:
-                weighted[shift] = {lam: 1 << shift * k for k, lam in enumerate(lam_range)}
-            x = weighted[shift]
-            image = fock.apply_word(x, u, "xi-prime", table)
-        run.check(same and (du != dv or image == fock.apply_word(x, v, "xi-prime", table)),
+            image = act(u, shift)
+        run.check(same and (du != dv or image == act(v, shift)),
                   law="action-factors-through-diagrams", u=u, v=v)
         if du is None:
             run.check(image == {}, law="zero-diagram-zero-action", u=u)

@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peritl import cli
+from peritl import cli, tl
 from peritl.verify import SUITE_NAMES, run_suite
 
 from helpers import child_env, runtime_error_sites
@@ -320,6 +320,21 @@ def test_exit_codes(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "normalize", "--word", "0")
     assert code == 4 and out == ""
     assert err == "error: internal invariant violated: synthetic failure\n"
+
+
+def test_an_exception_in_a_suite_is_one_error_line(capsys, monkeypatch):
+    # a library fault that raises mid-sweep exits 4 with one line naming the
+    # exception, not a traceback; running out of memory is still exit 3
+    for exc, code, line in [
+        (IndexError("list index\nout of range"), 4,
+         "error: internal invariant violated: IndexError: list index out of range\n"),
+        (MemoryError(), 3, "error: input too large to evaluate: MemoryError\n"),
+    ]:
+        def planted(word, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(tl, "_reduce", planted)
+        assert run_cli(capsys, "verify", "--suite", "all", "--max-size", "4") == (code, "", line)
 
 
 def test_runtime_error_sites_are_pinned():

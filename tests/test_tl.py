@@ -479,8 +479,10 @@ def test_faithfulness_witness_with_a_table_matches_without():
         element = {w: rng.choice((-3, -2, -1, 1, 2, 3)) for w in chosen}
         assert faithfulness_witness(element, table) == faithfulness_witness(element)
     assert table
-    for rep, lam, q in table:
-        assert rep == "xi-prime" and lam == check_partition(lam) and type(q) is int
+    del table[None]  # the pool of stored partitions
+    for (rep, q), row in table.items():
+        assert rep == "xi-prime" and type(q) is int
+        assert all(lam == check_partition(lam) for lam in row)
 
 
 def test_element_json_roundtrip():

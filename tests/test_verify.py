@@ -216,6 +216,23 @@ def test_single_image_suites_fill_the_table_without_apply_word(monkeypatch, suit
     assert calls == []
 
 
+def test_a_run_stores_one_object_per_partition():
+    # the table interns what it stores: equal partitions, whether row keys or
+    # images, are one object, and so are equal twisted images
+    table: dict = {}
+    assert run_suite("all", 8, 2, 0, table=table).ok
+    del table[None]  # the pool itself
+    first: dict = {}
+    for (rep, _), row in table.items():
+        for lam, images in row.items():
+            assert type(images) is tuple
+            for mu in (lam, *images):
+                assert first.setdefault(mu, mu) is mu
+            if rep == "xi":
+                assert first.setdefault(images, images) is images
+    assert len(first) > len(list(enumerate_partitions(8)))
+
+
 def test_trie_walk_matches_bottom_sector():
     # the faithfulness suite reads every bottom sector off one walk of a
     # suffix trie per partition; tl.bottom_sector is the oracle, None included
@@ -504,10 +521,12 @@ NO_ADDABLE_BOX_FAILURES = [
 ]
 
 
-@pytest.mark.parametrize("suite, checked, failures", [("ideals", 306, 14), ("all", 7762, 28)])
+@pytest.mark.parametrize("suite, checked, failures", [("ideals", 306, 47), ("all", 7762, 61)])
 def test_a_missing_addable_box_is_a_record(monkeypatch, capsys, suite, checked, failures):
     # add_box finds no box of content 1 on (1,), wherever the name is read:
-    # the generation law records the members it cannot reach, it does not stop
+    # the generation law records the members it cannot reach, it does not
+    # stop, and the box tensor's support misses every one-row label of two
+    # boxes or more (33 summand-flags records)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "peritl" and hasattr(module, "add_box"):
             _plant_result(monkeypatch, module, "add_box", ((1,), 1), None)
@@ -520,6 +539,8 @@ def test_a_missing_addable_box_is_a_record(monkeypatch, capsys, suite, checked, 
     assert [{k: v for k, v in f.items() if k != "suite"} for f in generation] == (
         NO_ADDABLE_BOX_FAILURES
     )
+    summands = [f for f in report["failures"] if f["law"] == "summand-flags"]
+    assert {tuple(f["partition"]) for f in summands} == {(1,), *((j,) for j in range(2, 7))}
 
 
 # (partition, q, planted twisted image, max-size) and the checks and failures
@@ -687,6 +708,28 @@ def test_factorization_law_catches_a_planted_fault(monkeypatch):
     assert report.failures == PLANTED_FACTORIZATION_FAILURES
 
 
+# the failures of fcs-basis at (10, 3, 0) when the plain index-0 generator
+# sends the 10-box operand partition (3, 3, 2, 1, 1) to (3, 3, 3, 1, 1)
+# alone; the true image also holds (3, 3, 1, 1, 1).  Each word's last letter
+# acts on the whole operand once, shared by the words that end in it, as in
+# [-3, 0] below
+PLANTED_FIRST_LETTER_FAILURES = [
+    {"law": "action-factors-through-diagrams", "u": [0, -3], "v": [-3, 0]},
+    {"law": "action-factors-through-diagrams", "u": [0, 3], "v": [0, -1, 3, 0]},
+    {"law": "action-factors-through-diagrams", "u": [-1], "v": [-1, 0, -1]},
+    {"law": "action-factors-through-diagrams", "u": [0, -3], "v": [-3, 0]},
+    {"law": "action-factors-through-diagrams", "u": [1], "v": [1, 0, -1, 0, 1]},
+    {"law": "action-factors-through-diagrams", "u": [-1], "v": [-1, 0, -1]},
+]
+
+
+def test_factorization_law_catches_a_planted_first_letter_image(monkeypatch):
+    _plant_xi_prime_image(monkeypatch, (3, 3, 2, 1, 1), 0, ((3, 3, 3, 1, 1),))
+    report = run_suite("fcs-basis", 10, 3, 0)
+    assert report.checked == 2194
+    assert report.failures == PLANTED_FIRST_LETTER_FAILURES
+
+
 # ... and when it sends (8,) to itself, past the first 20 partitions of
 # max-size 8; the true image is 0
 PLANTED_ZERO_WORD_FAILURES = [
@@ -851,10 +894,16 @@ PLANTED_IDEAL_FAULTS = {
         [{"law": "quasi-order", "a": [], "b": [1]}],
     ),
     # 5 joins the sizes of r = 3, so the label table gains the 7 partitions
-    # of 5 at each of the ranks 1-3, and every flag of theirs holds
+    # of 5 at each of the ranks 1-3; the box tensor reaches none of them in 3
+    # steps, and the first label of each rank no longer counts the support
     "j-zero-subset": (
         4, strata, "j_zero_set", (3,), {1, 3, 5}, 327,
-        [{"law": "j-zero-subset", "r": 3}],
+        [{"law": "j-zero-subset", "r": 3}] + [
+            {"law": "summand-flags", "n": n, "r": 3, "partition": lam}
+            for n in (1, 2, 3)
+            for lam in ([1], [5], [4, 1], [3, 2], [3, 1, 1], [2, 2, 1], [2, 1, 1, 1],
+                        [1, 1, 1, 1, 1])
+        ],
     ),
     "j-set-difference": (
         4, strata, "j_set", (4,), {0, 2, 4, 6}, 306,
@@ -887,6 +936,24 @@ def test_chain_and_label_laws_catch_a_planted_fault(monkeypatch, law):
     report = run_suite("ideals", max_size, 2, 0)
     assert report.checked == checked
     assert report.failures == failures
+
+
+def test_summand_flags_check_the_labels_against_the_box_tensor(monkeypatch):
+    # both label sets lose the size r itself from r = 3 on, so the table
+    # drops the largest labels and every flag of the rest still holds; only
+    # the count of the box tensor's r-fold support tells (58,389 checks at
+    # max-size 8 become 58,311 for run_suite("all", 8, 3, 0))
+    for name in ("j_set", "j_zero_set"):
+        true = getattr(strata, name)
+        monkeypatch.setattr(
+            strata, name, lambda r, true=true: true(r) - {r} if r >= 3 else true(r)
+        )
+    report = run_suite("ideals", 8, 2, 0)
+    assert report.checked == 783
+    assert report.failures == [
+        {"law": "summand-flags", "n": n, "r": r, "partition": [1 if r % 2 else 2]}
+        for n in (1, 2, 3) for r in (3, 4, 5, 6)
+    ]
 
 
 def test_associativity_law_catches_a_negated_product(monkeypatch):
