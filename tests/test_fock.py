@@ -122,12 +122,11 @@ def test_apply_word_with_a_table_matches_without():
                 assert apply_word({lam: 1}, word, rep, table) == apply_word(
                     {lam: 1}, word, rep
                 ), (word, lam, rep)
-    # a row per (rep, q), keyed by partition, and the pool under None
-    pool = table.pop(None)
-    assert {rep for rep, _ in table} == set(fock.REPRESENTATIONS)
+    # a row per (rep, q), keyed by partition, beside the pool under None
+    rows = {key: row for key, row in table.items() if key is not None}
+    assert {rep for rep, _ in rows} == set(fock.REPRESENTATIONS)
     assert all(type(q) is int and all(type(lam) is tuple for lam in row)
-               for (_, q), row in table.items())
-    table[None] = pool
+               for (_, q), row in rows.items())
     # fock.images reads the same table, and agrees with apply_word's terms
     for lam in enumerate_partitions(8):
         for q in range(-3, 4):
@@ -137,7 +136,7 @@ def test_apply_word_with_a_table_matches_without():
                     lam, q, rep)
     assert all(
         type(images) is tuple and all(type(kappa) is tuple for kappa in images)
-        for key, row in table.items() if key is not None for images in row.values()
+        for row in rows.values() for images in row.values()
     )
 
 
