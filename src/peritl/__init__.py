@@ -29,11 +29,9 @@ from .tl import (
     FcsWord,
     TLDiagram,
     bottom_sector,
-    diagram_product,
     element_multiply,
     faithfulness_witness,
     fcs_to_word,
-    generator_diagram,
     normalize,
     witness_partition,
     word_to_diagram,

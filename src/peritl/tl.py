@@ -85,15 +85,6 @@ def _check_arc_side(arcs: frozenset[tuple[int, int]]) -> None:
 IDENTITY = TLDiagram(frozenset(), frozenset())
 
 
-def generator_diagram(i: int) -> TLDiagram:
-    """The index-i generator: a lower arc and an upper arc at (i, i+1).
-
-    >>> generator_diagram(0) == TLDiagram(frozenset({(0, 1)}), frozenset({(0, 1)}))
-    True
-    """
-    return TLDiagram(frozenset({(i, i + 1)}), frozenset({(i, i + 1)}))
-
-
 def _through_strands(lower: frozenset, upper: frozenset):
     """The through strands from the row with arcs `lower` to the row with
     arcs `upper`, as a map on free points: a free point keeps its rank among
@@ -111,51 +102,36 @@ def _through_strands(lower: frozenset, upper: frozenset):
     return far_end
 
 
-def diagram_product(d1: Optional[TLDiagram], d2: Optional[TLDiagram]) -> Optional[TLDiagram]:
-    """Compose monomials: d2 is stacked below d1 and acts first.
+def _times_generator(d: TLDiagram, q: int) -> Optional[TLDiagram]:
+    """d times the index-q generator stacked below it, or None.
 
-    Only the strands that touch a middle arc change.  Each is traced from a
-    middle arc end that belongs to one factor alone, along the two factors'
-    middle arcs in turn, until it leaves the middle row: down through d2 or
-    up through d1.  A strand that leaves down at both ends is a new lower
-    arc, up at both ends a new upper arc.  A middle arc end that no trace
-    reaches lies on a closed loop, which kills the product (the loop
-    parameter is zero), so None is absorbing.
-
-    >>> diagram_product(generator_diagram(3), generator_diagram(3)) is None
-    True
+    The generator's upper arc joins the lower points q and q+1 of d, and its
+    lower arc (q, q+1) joins the product's lower row.  With a and b the
+    partners of q and q+1 in d's lower row: a = q+1 closes a loop, which
+    kills the product (the loop parameter is zero); two free points join
+    their through strands into an upper arc; two arc ends join their arcs
+    into one; an arc end and a free point drop the arc, whose far end takes
+    over the free point's through strand with the same rank among the free
+    points.
     """
-    if d1 is None or d2 is None:
+    ends = _partners(d.bottom_arcs)
+    a, b = ends.get(q), ends.get(q + 1)
+    if a == q + 1:
         return None
-    low = _partners(d2.top_arcs)
-    up = _partners(d1.bottom_arcs)
-    down_end = _through_strands(d2.top_arcs, d2.bottom_arcs)
-    up_end = _through_strands(d1.bottom_arcs, d1.top_arcs)
-    bottom_arcs, top_arcs = set(d2.bottom_arcs), set(d1.top_arcs)
-    reached: set[int] = set()
-    for start in low.keys() ^ up.keys():
-        if start in reached:
-            continue
-        reached.add(start)
-        arcs, end = (low if start in low else up), start
-        while end in arcs:
-            end = arcs[end]
-            reached.add(end)
-            arcs = up if arcs is low else low
-        # start leaves through the factor that has no arc there, end
-        # through the factor of `arcs`; leaving both ways is a through strand
-        leaves_up = start in low
-        if leaves_up == (arcs is up):
-            far = up_end if leaves_up else down_end
-            a, b = far(start), far(end)
-            (top_arcs if leaves_up else bottom_arcs).add((a, b) if a < b else (b, a))
-    if len(reached) < len(low.keys() | up.keys()):
-        return None
-    return TLDiagram(frozenset(bottom_arcs), frozenset(top_arcs))
+    bottom = {arc for arc in d.bottom_arcs if q not in arc and q + 1 not in arc}
+    bottom.add((q, q + 1))
+    top = d.top_arcs
+    if a is None and b is None:
+        far = _through_strands(d.bottom_arcs, d.top_arcs)
+        top = top | {(far(q), far(q + 1))}
+    elif a is not None and b is not None:
+        bottom.add((min(a, b), max(a, b)))
+    return TLDiagram(frozenset(bottom), top)
 
 
 def word_to_diagram(word: Iterable[int], prefixes: Optional[dict] = None) -> Optional[TLDiagram]:
-    """Left-to-right product of generator diagrams; empty word is identity.
+    """Left-to-right product of generator diagrams, each stacked below the
+    product so far; the empty word is the identity.
 
     `prefixes`, when given, is a dict from letter tuples to diagrams that
     holds every prefix of each word it holds.  The product then starts from
@@ -174,7 +150,7 @@ def word_to_diagram(word: Iterable[int], prefixes: Optional[dict] = None) -> Opt
     for k in range(n, len(word)):
         if d is None:
             break
-        d = diagram_product(d, generator_diagram(word[k]))
+        d = _times_generator(d, word[k])
         if prefixes is not None:
             prefixes[word[: k + 1]] = d
     return d

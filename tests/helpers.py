@@ -50,7 +50,7 @@ from peritl.partitions import (
     staircase,
 )
 from peritl.strata import cell_index
-from peritl.tl import IDENTITY, TLDiagram, diagram_product, fcs_to_word
+from peritl.tl import IDENTITY, TLDiagram, fcs_to_word
 from peritl.verify import VerifyReport
 from peritl.weights import d_set, d_tilde
 
@@ -270,6 +270,21 @@ def partition_count(n: int) -> int:
     return table[n][n]
 
 
+def generator_diagram(q: int) -> TLDiagram:
+    """The index-q generator: a lower arc and an upper arc at (q, q+1)."""
+    return TLDiagram(frozenset({(q, q + 1)}), frozenset({(q, q + 1)}))
+
+
+def step_case(d: TLDiagram, q: int) -> str:
+    """Which case of the step rule gives d times the index-q generator,
+    read off the partners of the lower points q and q+1 of d."""
+    ends = {p: e for arc in d.bottom_arcs for p, e in (arc, arc[::-1])}
+    a, b = ends.get(q), ends.get(q + 1)
+    if a == q + 1:
+        return "loop"
+    return ("both-free", "one-arc-end", "both-arc-ends")[(a is not None) + (b is not None)]
+
+
 def interval_diagram(a: int, b: int) -> TLDiagram:
     """Closed form of the ascending run a, a+1, ..., b of generators.
 
@@ -281,10 +296,11 @@ def interval_diagram(a: int, b: int) -> TLDiagram:
 
 
 def fcs_to_diagram(w) -> TLDiagram | None:
-    """Diagram of a fully commutative monomial, one product per interval."""
+    """Diagram of a fully commutative monomial, one oracle product per
+    interval."""
     d: TLDiagram | None = IDENTITY
     for a, b in w:
-        d = diagram_product(d, interval_diagram(a, b))
+        d = oracle_diagram_product(d, interval_diagram(a, b))
     return d
 
 
@@ -302,7 +318,7 @@ def oracle_normal_forms(lo: int, hi: int) -> dict:
         index[diag] = word
         for a in range(min(prev_a - 1, hi), lo - 1, -1):
             for b in range(min(prev_b - 1, hi), a - 1, -1):
-                rec(word + ((a, b),), diagram_product(diag, interval_diagram(a, b)), a, b)
+                rec(word + ((a, b),), oracle_diagram_product(diag, interval_diagram(a, b)), a, b)
 
     rec((), IDENTITY, hi + 2, hi + 2)
     return index

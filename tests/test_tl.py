@@ -13,7 +13,6 @@ from peritl.tl import (
     TLDiagram,
     bottom_sector,
     check_fcs_word,
-    diagram_product,
     element_from_json,
     element_multiply,
     element_to_json,
@@ -21,7 +20,6 @@ from peritl.tl import (
     fcs_length,
     fcs_to_word,
     fcs_words_in_range,
-    generator_diagram,
     normalize,
     witness_partition,
     word_to_diagram,
@@ -30,11 +28,13 @@ from peritl.tl import (
 from helpers import (
     ORACLE_MAX_WIDTH,
     fcs_to_diagram,
+    generator_diagram,
     interval_diagram,
     oracle_check_arc_side,
     oracle_diagram_product,
     oracle_minimal_part,
     oracle_normal_forms,
+    step_case,
 )
 
 
@@ -43,10 +43,11 @@ def catalan(n):
 
 
 def test_generator_diagram():
-    t0 = generator_diagram(0)
+    t0 = word_to_diagram([0])
     assert t0.bottom_arcs == frozenset({(0, 1)}) and t0.top_arcs == frozenset({(0, 1)})
-    t5 = generator_diagram(5)
-    assert t5.bottom_arcs == frozenset({(5, 6)})
+    assert t0 == generator_diagram(0)
+    t5 = word_to_diagram([5])
+    assert t5.bottom_arcs == frozenset({(5, 6)}) and t5 == generator_diagram(5)
     # flipping top and bottom leaves a generator unchanged
     assert TLDiagram(t0.top_arcs, t0.bottom_arcs) == t0
 
@@ -113,12 +114,20 @@ def _oracle_word_diagram(word):
     return d
 
 
-def test_diagram_product_matches_the_window_oracle_on_short_words():
-    words = [w for n in range(4) for w in itertools.product(range(-2, 3), repeat=n)]
-    diagrams = [word_to_diagram(w) for w in words]
-    for u, du in zip(words, diagrams):
-        for v, dv in zip(words, diagrams):
-            assert diagram_product(du, dv) == oracle_diagram_product(du, dv), (u, v)
+def test_word_to_diagram_matches_the_window_oracle_on_short_words():
+    # every word of at most 5 letters on -2..2, each one letter past a word
+    # whose oracle diagram is already known
+    oracle = {(): IDENTITY}
+    cases = set()
+    for n in range(1, 6):
+        for word in itertools.product(range(-2, 3), repeat=n):
+            prefix = oracle[word[:-1]]
+            oracle[word] = oracle_diagram_product(prefix, generator_diagram(word[-1]))
+            if prefix is not None:
+                cases.add(step_case(prefix, word[-1]))
+            assert word_to_diagram(word) == oracle[word], word
+    assert len(oracle) == 3906
+    assert cases == {"loop", "both-free", "one-arc-end", "both-arc-ends"}
 
 
 @given(
@@ -127,27 +136,20 @@ def test_diagram_product_matches_the_window_oracle_on_short_words():
     st.lists(st.integers(0, 10), max_size=8),
 )
 @settings(max_examples=300, deadline=None)
-def test_diagram_product_matches_the_window_oracle_far_out(offset, u, v):
+def test_word_to_diagram_matches_the_window_oracle_far_out(offset, u, v):
     # generators offset..offset+10 touch the 12 points offset..offset+11
     u = [offset + q for q in u]
     v = [offset + q for q in v]
-    du, ou = word_to_diagram(u), _oracle_word_diagram(u)
-    dv, ov = word_to_diagram(v), _oracle_word_diagram(v)
-    assert (du, dv) == (ou, ov)
-    assert diagram_product(du, dv) == oracle_diagram_product(ou, ov)
+    assert word_to_diagram(u) == _oracle_word_diagram(u)
+    assert word_to_diagram(v) == _oracle_word_diagram(v)
+    assert word_to_diagram(u + v) == _oracle_word_diagram(u + v)
 
 
-def test_diagram_product_relations():
-    t = generator_diagram
-    assert diagram_product(t(3), t(3)) is None
-    assert diagram_product(None, t(0)) is None
-    assert diagram_product(t(0), None) is None
-    assert diagram_product(IDENTITY, t(2)) == t(2)
-    assert diagram_product(t(2), IDENTITY) == t(2)
-    braid = diagram_product(diagram_product(t(0), t(1)), t(0))
-    assert braid == t(0)
-    assert diagram_product(diagram_product(t(0), t(-1)), t(0)) == t(0)
-    assert diagram_product(t(0), t(2)) == diagram_product(t(2), t(0))
+def test_word_to_diagram_relations():
+    assert word_to_diagram([3, 3]) is None
+    assert word_to_diagram([0, 1, 0]) == word_to_diagram([0])
+    assert word_to_diagram([0, -1, 0]) == word_to_diagram([0])
+    assert word_to_diagram([0, 2]) == word_to_diagram([2, 0])
 
 
 def test_word_to_diagram():
@@ -214,9 +216,9 @@ def test_normalize_examples():
 
 def test_normalize_and_products_build_no_diagram(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a diagram was composed")
+        raise AssertionError("a diagram was built")
 
-    monkeypatch.setattr(tl, "diagram_product", refuse)
+    monkeypatch.setattr(tl, "TLDiagram", refuse)
     assert normalize([1, 2, 3, 0, 1]) == ((1, 3), (0, 1))
     assert normalize([3, 4, 3, 3]) is None
     assert element_multiply({((0, 1),): 2}, {((-1, 0),): 3}) == {((0, 1), (-1, 0)): 6}
@@ -243,14 +245,15 @@ def test_normalize_roundtrip_window():
 
 def test_normalize_matches_oracle_on_short_words():
     # the words of length <= 8 over the generators 0..4, grown letter by
-    # letter; a word with a zero prefix is zero, so growth stops there
+    # letter through the oracle product; a word with a zero prefix is zero,
+    # so growth stops there
     table = oracle_normal_forms(0, 4)
     todo = [((), IDENTITY)]
     while todo:
         prefix, prefix_diag = todo.pop()
         for q in range(5):
             word = prefix + (q,)
-            diag = diagram_product(prefix_diag, generator_diagram(q))
+            diag = oracle_diagram_product(prefix_diag, generator_diagram(q))
             assert normalize(word) == (None if diag is None else table[diag]), word
             if diag is not None and len(word) < 8:
                 todo.append((word, diag))

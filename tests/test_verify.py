@@ -2,6 +2,7 @@ import cProfile
 import importlib.util
 import inspect
 import json
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -21,6 +22,7 @@ from peritl.verify import SUITE_NAMES, run_suite
 from helpers import (
     exported_operations,
     oracle_relation_report,
+    step_case,
     untested_law_names,
     verify_law_names,
 )
@@ -81,7 +83,7 @@ def missed_operations(suite: str) -> list[str]:
     """Public operations (the functions exported by peritl plus the cli.cmd_*
     command bodies) that a profiled `run_suite` run of `suite` never called."""
     operations = exported_operations()
-    assert len(operations) == 48
+    assert len(operations) == 46
     prof = cProfile.Profile()
     report = prof.runcall(run_suite, suite, max_size=6, window=2, seed=0)
     assert report.ok
@@ -706,6 +708,50 @@ def test_factorization_law_catches_a_planted_fault(monkeypatch):
     report = run_suite("fcs-basis", 5, 2, 0)
     assert report.checked == 1106
     assert report.failures == PLANTED_FACTORIZATION_FAILURES
+
+
+# one fault in each case of the diagram step d e_q, and what it does to
+# fcs-basis at (6, 2, 0): a missed loop reads the loop as 1 (e_q e_q = e_q),
+# a diagram that only the action laws can tell apart; every other fault
+# breaks TLDiagram's invariant, so its validator raises, which the CLI
+# reports as exit 4 with one error line
+PLANTED_STEP_FAULTS = {
+    "loop": (lambda d, q, right: d, None),
+    # the new upper arc (q, q+1), where it should join the far ends
+    "both-free": (lambda d, q, right: tl.TLDiagram(right.bottom_arcs, d.top_arcs | {(q, q + 1)}),
+                  "two arcs of [(-2, -1), (-1, 0), (2, 3)] share an endpoint"),
+    # the two joined arcs dropped, with no arc joining their far ends
+    "both-arc-ends": (lambda d, q, right: tl.TLDiagram(
+        right.bottom_arcs & d.bottom_arcs | {(q, q + 1)}, right.top_arcs),
+        "lower and upper rows must carry equally many arcs"),
+    # the arc dropped, but no new lower arc (q, q+1)
+    "one-arc-end": (lambda d, q, right: tl.TLDiagram(right.bottom_arcs - {(q, q + 1)}, right.top_arcs),
+                    "lower and upper rows must carry equally many arcs"),
+}
+
+
+@pytest.mark.parametrize("case", PLANTED_STEP_FAULTS)
+def test_a_fault_in_each_case_of_the_diagram_step_is_caught(monkeypatch, capsys, case):
+    true_step = tl._times_generator
+    fault, message = PLANTED_STEP_FAULTS[case]
+
+    def planted(d, q):
+        right = true_step(d, q)
+        return fault(d, q, right) if step_case(d, q) == case else right
+
+    monkeypatch.setattr(tl, "_times_generator", planted)
+    if message is None:
+        report = run_suite("fcs-basis", 6, 2, 0)
+        # no diagram is zero any more, so zero-diagram-zero-action never runs
+        assert report.checked == 836
+        assert Counter(f["law"] for f in report.failures) == {"action-factors-through-diagrams": 271}
+        return
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_suite("fcs-basis", 6, 2, 0)
+    code = cli.main(["verify", "--suite", "fcs-basis", "--max-size", "6", "--window", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == f"error: internal invariant violated: ValueError: {message}\n"
 
 
 # the failures of fcs-basis at (10, 3, 0) when the plain index-0 generator
