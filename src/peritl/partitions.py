@@ -8,8 +8,7 @@ all values immutable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 
 Partition = tuple[int, ...]
@@ -158,8 +157,7 @@ def rim_boxes(lam: Partition) -> list[Box]:
     return out
 
 
-@dataclass(frozen=True)
-class RimHook:
+class RimHook(NamedTuple):
     """A removable connected strip of rim boxes, one per content.
 
     `boxes` is ordered by increasing content; `height`/`width` count the

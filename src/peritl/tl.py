@@ -17,7 +17,6 @@ produces a sum, so a product of generators is zero or exactly one of them.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .fock import FockVector, apply_word
@@ -31,7 +30,6 @@ TLElement = dict[FcsWord, int]
 # diagrams
 
 
-@dataclass(frozen=True)
 class TLDiagram:
     """A nonzero planar monomial: lower and upper arc sets, identity outside.
 
@@ -41,14 +39,31 @@ class TLDiagram:
     on one row never interleave, and both rows carry the same number of arcs.
     """
 
-    bottom_arcs: frozenset[tuple[int, int]]
-    top_arcs: frozenset[tuple[int, int]]
+    __slots__ = ("bottom_arcs", "top_arcs")
 
-    def __post_init__(self):
-        for arcs in (self.bottom_arcs, self.top_arcs):
+    def __init__(self, bottom_arcs: frozenset, top_arcs: frozenset):
+        for arcs in (bottom_arcs, top_arcs):
             _check_arc_side(arcs)
-        if len(self.bottom_arcs) != len(self.top_arcs):
+        if len(bottom_arcs) != len(top_arcs):
             raise ValueError("lower and upper rows must carry equally many arcs")
+        object.__setattr__(self, "bottom_arcs", bottom_arcs)
+        object.__setattr__(self, "top_arcs", top_arcs)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"TLDiagram is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not TLDiagram:
+            return NotImplemented
+        return self.bottom_arcs == other.bottom_arcs and self.top_arcs == other.top_arcs
+
+    def __hash__(self):
+        return hash((self.bottom_arcs, self.top_arcs))
+
+    def __repr__(self):
+        return f"TLDiagram(bottom_arcs={self.bottom_arcs!r}, top_arcs={self.top_arcs!r})"
 
 
 def _partners(arcs: frozenset[tuple[int, int]]) -> dict[int, int]:

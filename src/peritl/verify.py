@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from typing import Optional
 
 from . import fock, strata, tl, weights
 from .partitions import (
@@ -34,14 +34,15 @@ REFERENCE_MARKINGS = {
 }
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    parameters: dict
-    checked: int = 0
-    failures: list = field(default_factory=list)
-    elapsed: float = 0.0
-    parts: list = field(default_factory=list, init=False)
+    def __init__(self, suite: str, parameters: dict, checked: int = 0,
+                 failures: Optional[list] = None, elapsed: float = 0.0):
+        self.suite = suite
+        self.parameters = parameters
+        self.checked = checked
+        self.failures = [] if failures is None else failures
+        self.elapsed = elapsed
+        self.parts: list = []
 
     @property
     def ok(self) -> bool:
@@ -137,7 +138,8 @@ def _suite_tl_prime_relations(run, max_size, window, rng, table):
 
 
 def _suite_single_term(run, max_size, window, rng, table):
-    """Shape laws of the single-generator actions."""
+    """Shape laws of the single-generator actions.  `plain-action-is-add-plus-remove`
+    restates `fock.xi_prime_on_partition`: it guards the table and `apply_word`."""
     for lam in enumerate_partitions(max_size):
         qmin, qmax = fock.support_bounds(lam)
         for q in range(qmin - 2, qmax + 3):
@@ -223,6 +225,8 @@ def _suite_remove_box(run, max_size, window, rng, table):
 
 
 def _suite_marking(run, max_size, window, rng, table):
+    """Laws of the marking.  `d-set-is-shifted` reads `marking`'s contents on
+    both sides, so it guards only the shift by one from `d_tilde` to `d_set`."""
     for lam, boxes in REFERENCE_MARKINGS.items():
         run.check(
             weights.marking(lam) == boxes,

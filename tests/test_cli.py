@@ -236,6 +236,10 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
             failures=[{"law": "synthetic"}],
         )
 
+    report = fake("marking", 10, 3, 0)
+    assert (report.checked, report.failures, report.elapsed, report.parts) == (
+        1, [{"law": "synthetic"}], 0.0, [])
+    assert not report.ok
     monkeypatch.setattr(cli, "run_suite", fake)
     code, out, _ = run_cli(capsys, "verify", "--suite", "marking")
     assert code == 1
@@ -639,3 +643,15 @@ def test_stdout_byte_determinism():
         ]
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].stdout.strip()
+
+
+def test_importing_the_cli_loads_no_code_generation_modules():
+    # `dataclasses` brings in the other four; a one-shot command needs none.
+    # Comparing sys.modules before and after ignores whatever `site` loaded.
+    probe = ("import sys; before = set(sys.modules); import peritl.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env=child_env())
+    added = set(run.stdout.split())
+    assert "peritl.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

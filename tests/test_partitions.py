@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peritl.partitions import (
+    RimHook,
     add_box,
     addable_contents,
     check_partition,
@@ -171,6 +172,11 @@ def test_rim_hook_examples():
     assert hook.boxes == ((2, 2), (2, 3), (1, 3))
     assert hook.height == 2 and hook.width == 2
     assert rim_hook((2, 2, 1), -1, 1) is None
+    # the keyword form that the oracles build; a hook is immutable
+    assert RimHook(boxes=((2, 2), (2, 3), (1, 3)), height=2, width=2) == hook
+    assert hook.balanced and not rim_hook((3, 3), 1, 2).balanced
+    with pytest.raises(AttributeError):
+        hook.height = 3
 
 
 def test_rim_hook_against_skew_oracle():

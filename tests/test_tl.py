@@ -49,7 +49,17 @@ def test_generator_diagram():
     t5 = word_to_diagram([5])
     assert t5.bottom_arcs == frozenset({(5, 6)}) and t5 == generator_diagram(5)
     # flipping top and bottom leaves a generator unchanged
-    assert TLDiagram(t0.top_arcs, t0.bottom_arcs) == t0
+    flipped = TLDiagram(t0.top_arcs, t0.bottom_arcs)
+    assert flipped == t0 and flipped is not t0
+    # equal diagrams are one dict key; a diagram is immutable
+    assert hash(flipped) == hash(t0) and len({t0: 0, flipped: 1, t5: 2}) == 2
+    assert t0 != t5 and t0 != (t0.bottom_arcs, t0.top_arcs)
+    for attr in ("bottom_arcs", "top_arcs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(t0, attr, frozenset())
+    with pytest.raises(AttributeError):
+        del t0.top_arcs
+    assert t0 == generator_diagram(0)
 
 
 def test_diagram_validation():

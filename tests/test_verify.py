@@ -47,6 +47,13 @@ def test_report_shape_and_determinism():
     assert a.to_json_dict() == b.to_json_dict()
     data = a.to_json_dict()
     assert set(data) == {"suite", "parameters", "checked", "failures"}
+    # reports built with the defaults share no list
+    c, d = verify.VerifyReport(suite="c", parameters={}), verify.VerifyReport("d", {})
+    assert (c.checked, c.failures, c.elapsed, c.parts) == (0, [], 0.0, [])
+    c.check(False, law="x")
+    c.parts.append(a)
+    assert c.failures == [{"law": "x"}] and c.parts == [a]
+    assert d.failures == [] and d.parts == [] and d.ok
 
 
 def test_all_aggregates():
