@@ -46,7 +46,7 @@ from .strata import (
     summand_labels,
 )
 from .weights import (
-    closed_form_weight,
+    closed_form_weights,
     d_set,
     d_tilde,
     dominant_weight,

@@ -4,13 +4,15 @@ All commands read simple flags, print a single JSON document on stdout, and
 are byte-deterministic for fixed inputs.  Exit codes: 0 success, 1
 verification failures, 2 usage or parse errors, 3 domain precondition
 violations or inputs too large to evaluate, 4 internal invariant violations
-(a `RuntimeError` raised by the library, or any other exception that a
-command or a `verify` suite raises, named by its type; reported as one
-`error:` line on stderr, with nothing on stdout).
+(any other exception that a command or a `verify` suite raises).  A failing
+exit writes one `error:` line on stderr and nothing on stdout; exit 4 names
+the exception's type.
 
-Partitions are comma-separated parts, largest first, with the empty string
-for the empty partition; words are comma-separated generator indices,
-applied rightmost first.
+This module alone reads input from outside and maps errors to exit codes;
+the library computes, and `peritl.verify` judges the laws.  Partitions are
+comma-separated parts, largest first, with the empty string for the empty
+partition; words are comma-separated generator indices, applied rightmost
+first; vectors and elements are JSON lists of terms, read by `_parse_terms`.
 """
 from __future__ import annotations
 
@@ -20,17 +22,10 @@ import re
 import sys
 from typing import Optional
 
-from .fock import (
-    REPRESENTATIONS,
-    FockVector,
-    apply_word,
-    tensor_rows,
-    vector_from_json,
-    vector_to_json,
-)
+from .fock import REPRESENTATIONS, FockVector, apply_word, tensor_rows
 from .partitions import Partition, check_partition
 from .strata import block_index, cell_index, summand_labels
-from .tl import element_from_json, faithfulness_witness, normalize
+from .tl import TLElement, check_fcs_word, faithfulness_witness, normalize
 from .verify import SUITE_NAMES, run_suite
 from .weights import dominant_weight
 
@@ -68,12 +63,42 @@ def parse_word(text: str) -> list[int]:
         raise CliError(2, f"bad word {text!r}: {exc}") from exc
 
 
-def _parse_json_flag(text: str, what: str):
+def _parse_terms(text: str, what: str, name: str, check_key) -> dict:
+    """Read a flag's JSON list of {name: ..., "coeff": n} terms as a dict from
+    each checked key to its integer coefficient, zero terms dropped.  A key
+    may appear once, whatever its coefficient."""
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the interpreter's recursion limit
         raise CliError(2, f"bad {what} JSON: {exc}") from exc
+    terms: dict = {}
+    try:
+        if not isinstance(data, list):
+            article = "an" if what[0] in "aeiou" else "a"
+            raise ValueError(
+                f"{article} {what} is a JSON list of terms, not {type(data).__name__}"
+            )
+        for term in data:
+            key = check_key(term[name])
+            coeff = term["coeff"]
+            if type(coeff) is not int:
+                raise ValueError(f"coefficients must be integers, got {coeff!r}")
+            if key in terms:
+                raise ValueError(f"duplicate {name} {key} in {what}")
+            terms[key] = coeff
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CliError(2, f"bad {what}: {exc}") from exc
+    return {key: coeff for key, coeff in terms.items() if coeff}
+
+
+def vector_to_json(vec: FockVector) -> list[dict]:
+    """Serialize a vector in canonical term order: size ascending, then
+    descending lex on parts."""
+    return [
+        {"partition": list(lam), "coeff": vec[lam]}
+        for lam in sorted(vec, key=lambda lam: (sum(lam), [-p for p in lam]))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +140,7 @@ def cmd_normalize(word: list[int]) -> Optional[list]:
     return None if nf is None else [list(iv) for iv in nf]
 
 
-def cmd_witness(element_json) -> dict:
-    try:
-        element = element_from_json(element_json)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise CliError(2, f"bad element: {exc}") from exc
+def cmd_witness(element: TLElement) -> dict:
     pair = faithfulness_witness(element)
     if pair is None:
         raise CliError(3, "the zero element has no faithfulness witness")
@@ -174,7 +195,7 @@ CLI_EXAMPLES = [
         [[0, 0]],
     ),
     (
-        lambda: cmd_witness([{"word": [[0, 0]], "coeff": 1}]),
+        lambda: cmd_witness({((0, 0),): 1}),
         {"partition": [1, 1], "image": [{"partition": [1], "coeff": 1}]},
     ),
 ]
@@ -260,10 +281,7 @@ def main(argv=None) -> int:
             if args.partition is not None:
                 vec: FockVector = {parse_partition(args.partition): 1}
             else:
-                try:
-                    vec = vector_from_json(_parse_json_flag(args.vector, "vector"))
-                except (ValueError, TypeError, KeyError) as exc:
-                    raise CliError(2, f"bad vector: {exc}") from exc
+                vec = _parse_terms(args.vector, "vector", "partition", check_partition)
             _emit(cmd_act(args.rep, parse_word(args.word), vec))
         elif args.command == "tensor":
             _emit(cmd_tensor(parse_partition(args.partition)))
@@ -277,7 +295,7 @@ def main(argv=None) -> int:
         elif args.command == "normalize":
             _emit(cmd_normalize(parse_word(args.word)))
         elif args.command == "witness":
-            _emit(cmd_witness(_parse_json_flag(args.element, "element")))
+            _emit(cmd_witness(_parse_terms(args.element, "element", "word", check_fcs_word)))
         elif args.command == "verify":
             report = run_suite(
                 args.suite,
@@ -302,12 +320,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: input too large to evaluate: {message}\n")
         return 3
     except Exception as exc:
-        # a RuntimeError is a library cross-check; any other exception is a
-        # fault in the library, named by its type
         message = " ".join(str(exc).split())
-        if not isinstance(exc, RuntimeError):
-            message = f"{type(exc).__name__}: {message}"
-        sys.stderr.write(f"error: internal invariant violated: {message}\n")
+        sys.stderr.write(f"error: internal invariant violated: {type(exc).__name__}: {message}\n")
         return 4
 
 

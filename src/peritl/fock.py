@@ -211,34 +211,3 @@ def tensor_rows(nu: Partition) -> list[tuple[int, Partition]]:
         if image is not None:
             rows.append((q, image))
     return rows
-
-
-def vector_key(lam: Partition) -> tuple[int, tuple[int, ...]]:
-    """Canonical sort key: size ascending, then descending lex on parts."""
-    return (sum(lam), tuple(-p for p in lam))
-
-
-def vector_to_json(vec: FockVector) -> list[dict]:
-    """Serialize a vector in canonical term order."""
-    return [
-        {"partition": list(lam), "coeff": vec[lam]}
-        for lam in sorted(vec, key=vector_key)
-    ]
-
-
-def vector_from_json(data) -> FockVector:
-    """Parse the serialization produced by `vector_to_json`."""
-    from .partitions import check_partition
-
-    if not isinstance(data, list):
-        raise ValueError(f"a vector is a JSON list of terms, not {type(data).__name__}")
-    vec: FockVector = {}
-    for term in data:
-        lam = check_partition(term["partition"])
-        coeff = term["coeff"]
-        if type(coeff) is not int:
-            raise ValueError(f"coefficients must be integers, got {coeff!r}")
-        if lam in vec:
-            raise ValueError(f"duplicate partition {lam} in vector")
-        vec[lam] = coeff
-    return {lam: coeff for lam, coeff in vec.items() if coeff}

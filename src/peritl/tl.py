@@ -360,21 +360,6 @@ def element_to_json(x: TLElement) -> list[dict]:
     ]
 
 
-def element_from_json(data) -> TLElement:
-    if not isinstance(data, list):
-        raise ValueError(f"an element is a JSON list of terms, not {type(data).__name__}")
-    out: TLElement = {}
-    for term in data:
-        w = check_fcs_word(term["word"])
-        coeff = term["coeff"]
-        if type(coeff) is not int:
-            raise ValueError(f"coefficients must be integers, got {coeff!r}")
-        if w in out:
-            raise ValueError(f"duplicate word {w} in element")
-        out[w] = coeff
-    return {w: coeff for w, coeff in out.items() if coeff}
-
-
 # ---------------------------------------------------------------------------
 # faithfulness machinery
 

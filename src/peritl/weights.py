@@ -139,47 +139,39 @@ def partition_from_d_set(subset: Iterable[int], n: int) -> Partition:
     return tuple(rows)
 
 
-def closed_form_weight(lam: Partition) -> Optional[DominantWeight]:
-    """Closed formula for the weight of a generic partition, or None.
+def closed_form_weights(lam: Partition) -> list[Optional[DominantWeight]]:
+    """Closed formula for the weight of a partition, once per admissible cut.
 
     With n the cell index, an admissible cut is a k0 in 0..n with
     lam[k0] = n - k0 (rows past the end count as zero); the columns of the
     tail rows after the cut form a partition nu, and when nu has no repeated
-    part the weight is
+    part the cut is generic and the weight is
 
         (lam_i - n - 1)           for i = 1..k0,
         (-nu_{n-i+1} - k0)        for i = k0+1..n.
 
-    Every admissible generic cut is evaluated and they must all agree; None
-    means no cut is generic.  Absence of any admissible cut is a
-    falsification and raises.
+    Returns one entry per admissible cut, in cut order: the weight, or None
+    where the cut is not generic.  `peritl.verify` checks that a cut exists
+    and that every generic cut gives `dominant_weight`.
 
-    >>> closed_form_weight((3, 2, 1))
-    (-1, -2, -3)
-    >>> closed_form_weight((2,))
-    (0,)
+    >>> closed_form_weights((2, 1))
+    [(-1, -2), (-1, -2), (-1, -2)]
+    >>> closed_form_weights((2, 2))
+    [None, (-1, -1)]
     """
     n = cell_index(lam)
-    results = []
-    found_cut = False
+    results: list[Optional[DominantWeight]] = []
     for k0 in range(n + 1):
         row = lam[k0] if k0 < len(lam) else 0
         if row != n - k0:
             continue
-        found_cut = True
         nu = transpose(lam[k0:])
         if len(set(nu)) != len(nu):
+            results.append(None)
             continue
         padded = nu + (0,) * (n - k0 - len(nu))
         omega = tuple(lam[i - 1] - n - 1 for i in range(1, k0 + 1)) + tuple(
             -padded[n - i] - k0 for i in range(k0 + 1, n + 1)
         )
         results.append(omega)
-    if not found_cut:
-        raise RuntimeError(f"no admissible cut for {lam} at rank {n}")
-    if not results:
-        return None
-    if any(r != results[0] for r in results):
-        raise RuntimeError(f"generic cuts of {lam} disagree: {results}")
-    return results[0]
-
+    return results

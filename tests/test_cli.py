@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peritl import cli, tl
+from peritl.partitions import check_partition
 from peritl.verify import SUITE_NAMES, run_suite
 
 from helpers import child_env, runtime_error_sites
@@ -84,6 +85,38 @@ def test_act_input_validation(capsys):
     code, _, err = run_cli(capsys, "act", "--rep", "xi", "--word", "x",
                            "--partition", "")
     assert code == 2
+
+
+def _read_vector(data):
+    return cli._parse_terms(json.dumps(data), "vector", "partition", check_partition)
+
+
+def _read_element(data):
+    return cli._parse_terms(json.dumps(data), "element", "word", tl.check_fcs_word)
+
+
+def test_vector_json_roundtrip():
+    vec = {(3, 1): -2, (1,): 1, (2,): 4}
+    data = cli.vector_to_json(vec)
+    assert data == [
+        {"partition": [1], "coeff": 1},
+        {"partition": [2], "coeff": 4},
+        {"partition": [3, 1], "coeff": -2},
+    ]
+    assert _read_vector(data) == vec
+    with pytest.raises(cli.CliError, match=r"^bad vector: duplicate partition \(1,\)") as exc:
+        _read_vector([{"partition": [1], "coeff": 1}, {"partition": [1], "coeff": 2}])
+    assert exc.value.code == 2
+
+
+def test_element_json_roundtrip():
+    x = {((1, 3), (0, 1)): -2, ((0, 0),): 1, (): 5}
+    data = tl.element_to_json(x)
+    assert data[0]["word"] == [[1, 3], [0, 1]]
+    assert _read_element(data) == x
+    with pytest.raises(cli.CliError, match=r"^bad element: duplicate word") as exc:
+        _read_element([{"word": [[0, 0]], "coeff": 1}, {"word": [[0, 0]], "coeff": 2}])
+    assert exc.value.code == 2
 
 
 def test_tensor_examples(capsys):
@@ -184,21 +217,21 @@ def test_verify_stdout_matches_pinned_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
 
 
-@pytest.mark.parametrize("max_size, checked, digest", [
-    (12, 274_812, "32dd1764981643e38e468c8ff02eb662036bd15cb38be6793e28e6dbfb65f8a0"),
-    (14, 541_511, "a8e797d00abf2619db6a26bdd4e0b1b57b19b2731ea0815a05623cb9456efab9"),
-    (16, 1_024_996, "dbeee79b110d35b332f4a6d3da6a663f519c10761103858af01e8d145a121df3"),
-], ids=["12", "14", "16"])
-def test_verify_stdout_at_larger_max_size_matches_pinned_digest(
-    capsys, max_size, checked, digest
-):
+# the stdout digests of `verify` runs past the benchmark's, one table for
+# tier-1 (below) and the CI steps that run larger ones
+VERIFY_PINS = json.loads((Path(__file__).with_name("verify_pins.json")).read_text())
+
+
+@pytest.mark.parametrize("pin", VERIFY_PINS["tier1"], ids=lambda pin: str(pin["max_size"]))
+def test_verify_stdout_at_larger_max_size_matches_pinned_digest(capsys, pin):
     # hook geometry on partitions of 11 to 16 boxes, and the ideal of
     # staircase(5) at 16, beyond the benchmark's pins
-    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-size",
-                           str(max_size), "--window", "3", "--seed", "0")
+    code, out, _ = run_cli(capsys, "verify", "--suite", pin["suite"], "--max-size",
+                           str(pin["max_size"]), "--window", str(pin["window"]),
+                           "--seed", str(pin["seed"]))
     assert code == 0
-    assert json.loads(out)["checked"] == checked
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert json.loads(out)["checked"] == pin["checked"]
+    assert hashlib.sha256(out.encode()).hexdigest() == pin["sha256"]
 
 
 def test_verify_all_writes_one_stderr_line_per_suite(capsys):
@@ -270,48 +303,70 @@ def test_exit_codes(capsys, monkeypatch):
     def broken(word):
         raise RuntimeError("synthetic\nfailure")
 
-    for argv in (
-        ["verify", "--suite", "all", "--max-size", "-3"],
-        ["verify", "--suite", "faithfulness", "--window", "-1"],
-        ["cell", "--partition", "2", "--ideals-up-to", "-3"],
+    vector = ["act", "--rep", "xi", "--word", "1", "--vector"]
+    for argv, message in (
+        (["verify", "--suite", "all", "--max-size", "-3"],
+         "--max-size must be nonnegative, got -3"),
+        (["verify", "--suite", "faithfulness", "--window", "-1"],
+         "--window must be nonnegative, got -1"),
+        (["cell", "--partition", "2", "--ideals-up-to", "-3"],
+         "--ideals-up-to must be nonnegative, got -3"),
         # only JSON integers are parts, interval ends and coefficients
-        ["act", "--rep", "xi-prime", "--word", "1",
-         "--vector", '[{"partition":[1],"coeff":2.7}]'],
-        ["act", "--rep", "xi-prime", "--word", "1",
-         "--vector", '[{"partition":[1],"coeff":0.5}]'],
-        ["act", "--rep", "xi", "--word", "1",
-         "--vector", '[{"partition":[1],"coeff":true}]'],
-        ["act", "--rep", "xi", "--word", "1",
-         "--vector", '[{"partition":[1.9],"coeff":1}]'],
-        ["act", "--rep", "xi", "--word", "1",
-         "--vector", '[{"partition":[true],"coeff":1}]'],
-        ["act", "--rep", "xi", "--word", "1",
-         "--vector", '[{"partition":["1"],"coeff":1}]'],
-        ["witness", "--element", '[{"word":[[0,0]],"coeff":0.9}]'],
-        ["witness", "--element", '[{"word":[[0,0]],"coeff":"1"}]'],
-        ["witness", "--element", '[{"word":[[0,0.0]],"coeff":1}]'],
-        ["witness", "--element", '[{"word":[[false,0]],"coeff":1}]'],
+        (["act", "--rep", "xi-prime", "--word", "1",
+          "--vector", '[{"partition":[1],"coeff":2.7}]'],
+         "bad vector: coefficients must be integers, got 2.7"),
+        (["act", "--rep", "xi-prime", "--word", "1",
+          "--vector", '[{"partition":[1],"coeff":0.5}]'],
+         "bad vector: coefficients must be integers, got 0.5"),
+        ([*vector, '[{"partition":[1],"coeff":true}]'],
+         "bad vector: coefficients must be integers, got True"),
+        ([*vector, '[{"partition":[1.9],"coeff":1}]'],
+         "bad vector: parts must be integers, got 1.9 in (1.9,)"),
+        ([*vector, '[{"partition":[true],"coeff":1}]'],
+         "bad vector: parts must be integers, got True in (True,)"),
+        ([*vector, '[{"partition":["1"],"coeff":1}]'],
+         "bad vector: parts must be integers, got '1' in ('1',)"),
+        (["witness", "--element", '[{"word":[[0,0]],"coeff":0.9}]'],
+         "bad element: coefficients must be integers, got 0.9"),
+        (["witness", "--element", '[{"word":[[0,0]],"coeff":"1"}]'],
+         "bad element: coefficients must be integers, got '1'"),
+        (["witness", "--element", '[{"word":[[0,0.0]],"coeff":1}]'],
+         "bad element: interval ends must be integers, got (0, 0.0)"),
+        (["witness", "--element", '[{"word":[[false,0]],"coeff":1}]'],
+         "bad element: interval ends must be integers, got (False, 0)"),
         # a repeated partition or word is an error whatever its coefficient
-        ["act", "--rep", "xi", "--word", "1",
-         "--vector", '[{"partition":[1],"coeff":0},{"partition":[1],"coeff":1}]'],
-        ["witness", "--element",
-         '[{"word":[[0,0]],"coeff":0},{"word":[[0,0]],"coeff":1}]'],
+        ([*vector, '[{"partition":[1],"coeff":0},{"partition":[1],"coeff":1}]'],
+         "bad vector: duplicate partition (1,) in vector"),
+        (["witness", "--element", '[{"word":[[0,0]],"coeff":0},{"word":[[0,0]],"coeff":1}]'],
+         "bad element: duplicate word ((0, 0),) in element"),
         # a vector or an element is a JSON list of terms
-        ["act", "--rep", "xi", "--word", "1", "--vector", "{}"],
-        ["witness", "--element", "{}"],
-        # nesting deeper than the recursion limit is malformed JSON too
-        ["act", "--rep", "xi", "--word", "1", "--vector", "[" * 5000 + "]" * 5000],
-        ["witness", "--element", "[" * 5000 + "]" * 5000],
+        ([*vector, "{}"], "bad vector: a vector is a JSON list of terms, not dict"),
+        (["witness", "--element", "{}"],
+         "bad element: an element is a JSON list of terms, not dict"),
+        ([*vector, "not json"],
+         "bad vector JSON: Expecting value: line 1 column 1 (char 0)"),
         # comma lists take ASCII integers only, not what int() also reads
-        ["act", "--rep", "xi", "--word", "1_0", "--partition", ""],
-        ["act", "--rep", "xi", "--word", "+1", "--partition", ""],
-        ["normalize", "--word", "\u0663,\u0663"],
-        ["tensor", "--partition", "\u0663"],
-        ["cell", "--partition", "+2"],
+        (["act", "--rep", "xi", "--word", "1_0", "--partition", ""],
+         "bad word '1_0': items must be integers such as 3 or -1"),
+        (["act", "--rep", "xi", "--word", "+1", "--partition", ""],
+         "bad word '+1': items must be integers such as 3 or -1"),
+        (["normalize", "--word", "\u0663,\u0663"],
+         "bad word '\u0663,\u0663': items must be integers such as 3 or -1"),
+        (["tensor", "--partition", "\u0663"],
+         "bad partition '\u0663': items must be integers such as 3 or -1"),
+        (["cell", "--partition", "+2"],
+         "bad partition '+2': items must be integers such as 3 or -1"),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    # nesting deeper than the recursion limit is malformed JSON too
+    for argv, message in (
+        ([*vector, "[" * 5000 + "]" * 5000], "bad vector JSON: "),
+        (["witness", "--element", "[" * 5000 + "]" * 5000], "bad element JSON: "),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     # interval ends past the index range of a list are a domain error
     for interval in ([0, 10**20 - 1], [-(10**20) + 1, -(10**20) + 1]):
@@ -323,7 +378,7 @@ def test_exit_codes(capsys, monkeypatch):
     monkeypatch.setattr(cli, "normalize", broken)
     code, out, err = run_cli(capsys, "normalize", "--word", "0")
     assert code == 4 and out == ""
-    assert err == "error: internal invariant violated: synthetic failure\n"
+    assert err == "error: internal invariant violated: RuntimeError: synthetic failure\n"
 
 
 def test_an_exception_in_a_suite_is_one_error_line(capsys, monkeypatch):
@@ -342,11 +397,9 @@ def test_an_exception_in_a_suite_is_one_error_line(capsys, monkeypatch):
 
 
 def test_runtime_error_sites_are_pinned():
-    # the run-time cross-checks left in the library: closed_form_weight's,
-    # which verify records and no command reaches, so no command exits 4
-    # (the synthetic fault of test_exit_codes shows the path).  A new one
-    # fails here until README and this pin list it.
-    assert runtime_error_sites() == {"weights.closed_form_weight": 2}
+    # the library re-checks nothing at run time: `verify` judges the laws.
+    # A new `raise RuntimeError` fails here until README and this pin list it.
+    assert runtime_error_sites() == {}
 
 
 # Address-space cap of the child below: the rim of a 10**20-box row never fits.

@@ -9,8 +9,6 @@ from peritl.fock import (
     classify_case,
     support_bounds,
     tensor_rows,
-    vector_from_json,
-    vector_to_json,
     xi_on_partition,
     xi_prime_on_partition,
 )
@@ -204,16 +202,3 @@ def test_ideal_preservation_small():
                 kappa = xi_on_partition(lam, q)
                 if kappa is not None:
                     assert contains(kappa, step)
-
-
-def test_vector_json_roundtrip():
-    vec = {(3, 1): -2, (1,): 1, (2,): 4}
-    data = vector_to_json(vec)
-    assert data == [
-        {"partition": [1], "coeff": 1},
-        {"partition": [2], "coeff": 4},
-        {"partition": [3, 1], "coeff": -2},
-    ]
-    assert vector_from_json(data) == vec
-    with pytest.raises(ValueError):
-        vector_from_json([{"partition": [1], "coeff": 1}, {"partition": [1], "coeff": 2}])

@@ -13,9 +13,7 @@ from peritl.tl import (
     TLDiagram,
     bottom_sector,
     check_fcs_word,
-    element_from_json,
     element_multiply,
-    element_to_json,
     faithfulness_witness,
     fcs_length,
     fcs_to_word,
@@ -496,12 +494,3 @@ def test_faithfulness_witness_with_a_table_matches_without():
     for (rep, q), row in table.items():
         assert rep == "xi-prime" and type(q) is int
         assert all(lam == check_partition(lam) for lam in row)
-
-
-def test_element_json_roundtrip():
-    x = {((1, 3), (0, 1)): -2, ((0, 0),): 1, (): 5}
-    data = element_to_json(x)
-    assert data[0]["word"] == [[1, 3], [0, 1]]
-    assert element_from_json(data) == x
-    with pytest.raises(ValueError):
-        element_from_json([{"word": [[0, 0]], "coeff": 1}, {"word": [[0, 0]], "coeff": 2}])

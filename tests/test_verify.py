@@ -462,7 +462,7 @@ PLANTED_DICTIONARY_FAULTS = {
     "closed-form-vs-dictionary": (
         lambda mp: _plant_result(mp, weights, "d_set", ((2,),), {1}),
         "proplink", 20,
-        [{"law": "closed-form-vs-dictionary", "partition": [2], "closed": [0],
+        [{"law": "closed-form-vs-dictionary", "partition": [2], "closed": [[0]],
           "dictionary": [1]}],
     ),
 }
@@ -586,8 +586,8 @@ def test_an_increasing_decoded_weight_is_a_record(monkeypatch):
         {"law": "closed-form-vs-dictionary", "partition": list(lam), "closed": closed,
          "dictionary": dictionary}
         for lam, closed, dictionary in [
-            ((2, 1), [-1, -2], [-3, 0]), ((3, 1), [0, -2], [-3, 1]),
-            ((2, 2), [-1, -1], [-2, 0]), ((2, 1, 1), [-1, -3], [-4, 0]),
+            ((2, 1), [[-1, -2]] * 3, [-3, 0]), ((3, 1), [[0, -2]] * 2, [-3, 1]),
+            ((2, 2), [None, [-1, -1]], [-2, 0]), ((2, 1, 1), [[-1, -3]] * 2, [-4, 0]),
         ]
     ]
 
@@ -598,8 +598,20 @@ def test_a_closed_form_error_is_a_record(monkeypatch):
     report = run_suite("proplink", 4, 2, 0)
     assert report.checked == 20
     assert report.failures == [
-        {"law": "closed-form-vs-dictionary", "partition": [2],
-         "error": "no admissible cut for (2,) at rank 0"},
+        {"law": "closed-form-vs-dictionary", "partition": [2], "closed": [],
+         "dictionary": [0]},
+    ]
+
+
+def test_disagreeing_cuts_are_a_record(monkeypatch):
+    # (2, 1) is cut at 0, 1 and 2, each generic; read its columns as (3, 1)
+    # and the cut at 0 disagrees with the other two and with the dictionary
+    _plant_result(monkeypatch, weights, "transpose", ((2, 1),), (3, 1))
+    report = run_suite("proplink", 4, 2, 0)
+    assert report.checked == 20
+    assert report.failures == [
+        {"law": "closed-form-vs-dictionary", "partition": [2, 1],
+         "closed": [[-1, -3], [-1, -2], [-1, -2]], "dictionary": [-1, -2]},
     ]
 
 
@@ -919,17 +931,27 @@ def test_ideal_laws_catch_a_planted_fault(monkeypatch, lam, shift):
     )
 
 
+# the quasi-order failures when the cell index of (2, 1) reads 3: the law
+# reads the largest staircase in each partition off containment, not off
+# the cell index that quasi_order_compare reads
+QUASI_ORDER_FAILURES = [
+    {"law": "quasi-order", "a": a, "b": b}
+    for a, b in [([2, 1], [3, 2, 1]), ([2, 1], [4, 2, 1]),
+                 ([3, 2, 1], [2, 1]), ([4, 2, 1], [2, 1])]
+]
+
 # one planted fault per law of the ideal chain, the quasi-order and the label
 # sets, with the max-size at which the ideals suite runs (window 2, seed 0),
 # its checks and its failures
 PLANTED_IDEAL_FAULTS = {
     # staircase(2) reads cell 3, so it also enters ideal 3, which it does not
-    # generate
+    # generate, and compares as equal to staircase(3) and to (4, 2, 1)
     "staircase-cell": (
         4, strata, "cell_index", ((2, 1),), 3, 307,
         [{"law": "chain-strictness", "k": 2}, {"law": "staircase-cell", "k": 2},
          {"law": "cell-index-consistency", "partition": [2, 1]},
-         {"law": "generation-path", "k": 3, "partition": [2, 1]}],
+         {"law": "generation-path", "k": 3, "partition": [2, 1]}]
+        + QUASI_ORDER_FAILURES,
     ),
     "chain-strictness": (
         4, strata, "in_ideal", ((2, 1), 3), True, 307,
@@ -945,6 +967,14 @@ PLANTED_IDEAL_FAULTS = {
     "quasi-order": (
         4, strata, "quasi_order_compare", ((), (1,)), "Equal", 306,
         [{"law": "quasi-order", "a": [], "b": [1]}],
+    ),
+    # the cell index that fools quasi_order_compare, at max-size 6
+    "quasi-order-at-6": (
+        6, strata, "cell_index", ((2, 1),), 3, 484,
+        [{"law": "chain-strictness", "k": 2}, {"law": "staircase-cell", "k": 2},
+         {"law": "cell-index-consistency", "partition": [2, 1]},
+         {"law": "generation-path", "k": 3, "partition": [2, 1]}]
+        + QUASI_ORDER_FAILURES,
     ),
     # 5 joins the sizes of r = 3, so the label table gains the 7 partitions
     # of 5 at each of the ranks 1-3; the box tensor reaches none of them in 3

@@ -7,7 +7,7 @@ from peritl.fock import support_bounds
 from peritl.partitions import add_box, check_partition, enumerate_partitions, staircase
 from peritl.strata import cell_index
 from peritl.weights import (
-    closed_form_weight,
+    closed_form_weights,
     d_set,
     d_tilde,
     dominant_weight,
@@ -117,22 +117,25 @@ def test_d_roundtrip_mid_scale(lam):
 
 
 def test_closed_form_weight_examples():
-    assert closed_form_weight(staircase(4)) == (-1, -2, -3, -4)
-    assert closed_form_weight((2,)) == (0,)
-    # every admissible cut of (2,2) with distinct column lengths agrees
-    assert closed_form_weight((2, 2)) == (-1, -1)
-    assert closed_form_weight(()) == ()
+    # staircase(4) is cut at every k0 in 0..4, and every cut is generic
+    assert closed_form_weights(staircase(4)) == [(-1, -2, -3, -4)] * 5
+    assert closed_form_weights((2,)) == [(0,)]
+    # (2, 2) is cut at 0, where its columns repeat, and at 1
+    assert closed_form_weights((2, 2)) == [None, (-1, -1)]
+    assert closed_form_weights(()) == [()]
 
 
 def test_closed_form_matches_dictionary():
     generic = absent = 0
     for lam in enumerate_partitions(13):
-        closed = closed_form_weight(lam)
-        if closed is None:
+        cuts = closed_form_weights(lam)
+        assert cuts, lam  # some cut is admissible
+        closed = {w for w in cuts if w is not None}
+        if not closed:
             absent += 1
             continue
         generic += 1
-        assert closed == dominant_weight(lam)[1], lam
+        assert closed == {dominant_weight(lam)[1]}, lam
     assert generic > absent  # genericity is the common case at this scale
 
 
