@@ -3,7 +3,7 @@
 The k-th ideal consists of the partitions containing the staircase
 (k, k-1, ..., 1).  The ideals shrink as k grows, so membership is the
 threshold k <= cell index, the largest such k, read off the rows in one
-pass; the block index is the size of the 2-core staircase.  Label sets for
+pass; the block index is the index of the 2-core staircase.  Label sets for
 tensor powers and the summand predicates live here too.
 """
 from __future__ import annotations

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+from functools import partial
 from typing import Optional
 
 from . import fock, strata, tl, weights
@@ -74,24 +75,13 @@ class VerifyReport:
         }
 
 
-def _column_bits(n: int) -> int:
-    """Bits of a base above every entry of the matrix of a plain word of n
-    letters.  `apply_word` adds the input coefficient once per term of a
-    single-partition image, so a letter's matrix has 0/1 entries: at most one
-    1 per column for a twisted letter, at most two for a plain one (one added
-    and one removed box; the `plain-action-is-add-plus-remove` law of
-    `single-term` checks this on every (lam, q) of its sweep).  An entry of
-    the word's matrix counts paths and lies in [0, 2**n]."""
-    return n + 1
-
-
 def _staircase_reach(max_size: int) -> int:
     """The largest k with staircase(k) of at most max_size boxes, and at least
     4: staircases 0..4 are a fixed table that every sweep checks."""
     return max([4] + [k for k in range(max_size + 1) if k * (k + 1) // 2 <= max_size])
 
 
-def _relation_suite(run: VerifyReport, rep: str, max_size: int, table: dict) -> None:
+def _relation_suite(rep, run, max_size, window, rng, table):
     """Square-zero, far commutation, and the three-index contraction, on each
     partition at every index of its support window widened by two, counted
     one check per (lam, i[, j]).  A word's image of one partition is the
@@ -127,14 +117,6 @@ def _relation_suite(run: VerifyReport, rep: str, max_size: int, table: dict) -> 
             for j in range(i + 2, window.stop):
                 if (first[i] or first[j]) and act(i, first[j]) != act(j, first[i]):
                     fail(law="far-commutation", i=i, j=j)
-
-
-def _suite_tl_relations(run, max_size, window, rng, table):
-    _relation_suite(run, "xi", max_size, table)
-
-
-def _suite_tl_prime_relations(run, max_size, window, rng, table):
-    _relation_suite(run, "xi-prime", max_size, table)
 
 
 def _suite_single_term(run, max_size, window, rng, table):
@@ -193,33 +175,29 @@ def _suite_remove_box(run, max_size, window, rng, table):
     """Block multiplicities triggered by removable neighbours of a removed box:
     kappa sits in the index-q block of the box tensor of nu exactly when the
     twisted generator q sends nu to kappa."""
-
-    def image(nu, q):  # the twisted image of nu, None for zero
-        return next(iter(fock.images(nu, q, "xi", table)), None)
-
     for nu in enumerate_partitions(max_size):
         for q in removable_contents(nu):
             kappa = remove_box(nu, q)
             if remove_box(kappa, q - 1) is not None:
                 run.check(
-                    image(nu, q - 1) == kappa,
+                    fock.images(nu, q - 1, "xi", table) == (kappa,),
                     law="removed-left-neighbour", nu=list(nu), q=q,
                 )
             if remove_box(kappa, q + 1) is not None:
                 run.check(
-                    image(nu, q + 1) == kappa,
+                    fock.images(nu, q + 1, "xi", table) == (kappa,),
                     law="removed-right-neighbour", nu=list(nu), q=q,
                 )
         for q in addable_contents(nu):
             run.check(
-                image(nu, q) == add_box(nu, q),
+                fock.images(nu, q, "xi", table) == (add_box(nu, q),),
                 law="added-box-multiplicity", nu=list(nu), q=q,
             )
         qmin, qmax = fock.support_bounds(nu)
         row = [
             (q, kappa)
             for q in range(qmax + 2, qmin - 3, -1)
-            if (kappa := image(nu, q)) is not None
+            for kappa in fock.images(nu, q, "xi", table)
         ]
         run.check(fock.tensor_rows(nu) == row, law="row-sum-consistency", nu=list(nu))
 
@@ -450,28 +428,35 @@ def _suite_fcs_basis(run, max_size, window, rng, table):
         by_diagram[diag] = w
     for w, word in zip(words, letters):
         run.check(tl.normalize(word) == w, law="normal-form-roundtrip", word=w)
-    # Each law acts once on one vector instead of once per partition.  With
-    # B = 2**_column_bits(n) for the longer word, the base-B digits of the
-    # image of sum_k B**k lam_k are the columns of lam_range; no entry is
-    # negative, so images agree, or are zero, exactly when every column does.
-    # lam_range stops at 10 boxes: a wider one moves no check count, and 22 ran over 10x slower.
-    lam_range = list(enumerate_partitions(min(max_size, 10)))
-    # a word acts rightmost letter first, so its last letter's image of the
-    # operand is shared by every word that ends in it
-    weighted: dict = {}  # (shift, q) -> T_q applied to sum_k 2**(shift * k) lam_k
-
-    def act(word, shift):
-        first = (shift, word[-1])
-        if first not in weighted:
-            x = {lam: 1 << shift * k for k, lam in enumerate(lam_range)}
-            weighted[first] = fock.apply_word(x, word[-1:], "xi-prime", table)
-        return fock.apply_word(weighted[first], word[:-1], "xi-prime", table)
-
+    pairs = []
     for _ in range(500):
         u = [rng.randint(-3, 3) for _ in range(rng.randint(1, 8))]
         v = _rewrite(u, rng) if rng.random() < 0.5 else [
             rng.randint(-3, 3) for _ in range(rng.randint(1, 8))
         ]
+        pairs.append((u, v))
+    # Each law acts once on one operand instead of once per partition: the
+    # base-B digits of the image of sum_k B**k lam_k are the columns of
+    # lam_range.  A letter's matrix has 0/1 entries, at most two 1s per column
+    # (one added and one removed box, as `plain-action-is-add-plus-remove`
+    # checks), so an entry of an n-letter word's matrix counts paths and lies
+    # in [0, 2**n]: B = 2**(1 + the longest word drawn) holds every entry in
+    # one digit.  No entry is negative, so images agree, or are zero, exactly
+    # when every column does.
+    # lam_range stops at 10 boxes: a wider one moves no check count, and 22 ran over 10x slower.
+    lam_range = list(enumerate_partitions(min(max_size, 10)))
+    shift = 1 + max(len(w) for pair in pairs for w in pair)
+    operand = {lam: 1 << shift * k for k, lam in enumerate(lam_range)}
+    # a word acts rightmost letter first, so its last letter's image of the
+    # operand is shared by every word that ends in it
+    weighted: dict = {}  # q -> T_q applied to the operand
+
+    def act(word):
+        if word[-1] not in weighted:
+            weighted[word[-1]] = fock.apply_word(operand, word[-1:], "xi-prime", table)
+        return fock.apply_word(weighted[word[-1]], word[:-1], "xi-prime", table)
+
+    for u, v in pairs:
         du, dv = tl.word_to_diagram(u, diagrams), tl.word_to_diagram(v, diagrams)
         nu = tl.normalize(u)  # it builds no diagram: check it against u's
         try:
@@ -479,9 +464,8 @@ def _suite_fcs_basis(run, max_size, window, rng, table):
         except ValueError:  # nu is not fully commutative
             same = False
         if du == dv or du is None:
-            shift = _column_bits(max(len(u), len(v)))
-            image = act(u, shift)
-        run.check(same and (du != dv or image == act(v, shift)),
+            image = act(u)
+        run.check(same and (du != dv or image == act(v)),
                   law="action-factors-through-diagrams", u=u, v=v)
         if du is None:
             run.check(image == {}, law="zero-diagram-zero-action", u=u)
@@ -585,8 +569,8 @@ def _suite_cli_examples(run, max_size, window, rng, table):
 
 
 _SUITES = {
-    "tl-relations": _suite_tl_relations,
-    "tl-prime-relations": _suite_tl_prime_relations,
+    "tl-relations": partial(_relation_suite, "xi"),
+    "tl-prime-relations": partial(_relation_suite, "xi-prime"),
     "single-term": _suite_single_term,
     "preserve": _suite_preserve,
     "remove-box": _suite_remove_box,

@@ -54,6 +54,8 @@ def test_staircase():
     assert staircase(0) == ()
     assert staircase(3) == (3, 2, 1)
     assert staircase(5) == (5, 4, 3, 2, 1)
+    with pytest.raises(ValueError):
+        staircase(-1)
 
 
 def test_contains():
@@ -304,6 +306,7 @@ def test_enumerate_partitions_order_and_counts():
     assert list(enumerate_partitions(0)) == [()]
     assert list(enumerate_partitions(2)) == [(), (1,), (2,), (1, 1)]
     assert list(partitions_of(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert list(partitions_of(-1)) == []
     seen = list(enumerate_partitions(9))
     assert len(seen) == len(set(seen))
     for n in range(10):

@@ -59,11 +59,15 @@ def test_j_sets():
     assert j_set(2) == {2, 0} and j_zero_set(2) == {2}
     with pytest.raises(ValueError):
         j_set(-1)
+    with pytest.raises(ValueError):
+        j_zero_set(-1)
 
 
 def test_summand_labels_tables():
     assert summand_labels(1, 1) == [((1,), True, True)]
     assert summand_labels(5, 1) == [((1,), True, False)]
+    with pytest.raises(ValueError):
+        summand_labels(0, 1)
     table = summand_labels(1, 3)
     assert table == [
         ((1,), True, True),

@@ -326,6 +326,8 @@ def test_distinct_words_distinct_diagrams():
 
 def test_element_multiply():
     assert element_multiply({((0, 0),): 1}, {((0, 0),): 1}) == {}
+    # (1 - e1 e0) e1 = e1 - e1 e0 e1 = 0: the second product cancels the first
+    assert element_multiply({(): 1, ((1, 1), (0, 0)): -1}, {((1, 1),): 1}) == {}
     assert element_multiply({(): 1}, {((1, 2),): 7}) == {((1, 2),): 7}
     assert element_multiply({((1, 1),): 1}, {((3, 3),): 1}) == {((3, 3), (1, 1)): 1}
     # an ascending pair of generators merges into one interval

@@ -530,7 +530,7 @@ NO_ADDABLE_BOX_FAILURES = [
 ]
 
 
-@pytest.mark.parametrize("suite, checked, failures", [("ideals", 306, 47), ("all", 7762, 61)])
+@pytest.mark.parametrize("suite, checked, failures", [("ideals", 306, 47), ("all", 7762, 62)])
 def test_a_missing_addable_box_is_a_record(monkeypatch, capsys, suite, checked, failures):
     # add_box finds no box of content 1 on (1,), wherever the name is read:
     # the generation law records the members it cannot reach, it does not
@@ -550,6 +550,10 @@ def test_a_missing_addable_box_is_a_record(monkeypatch, capsys, suite, checked, 
     )
     summands = [f for f in report["failures"] if f["law"] == "summand-flags"]
     assert {tuple(f["partition"]) for f in summands} == {(1,), *((j,) for j in range(2, 7))}
+    # remove-box compares the twisted image, (), with the missing box itself
+    added = [f for f in report["failures"] if f["law"] == "added-box-multiplicity"]
+    assert added == ([{"suite": "remove-box", "law": "added-box-multiplicity", "nu": [1], "q": 1}]
+                     if suite == "all" else [])
 
 
 # (partition, q, planted twisted image, max-size) and the checks and failures
@@ -1121,13 +1125,25 @@ def test_fcs_base_catches_an_extra_image(monkeypatch):
         {"law": "action-factors-through-diagrams", "u": [0], "v": [0, 1, 0]},
         {"law": "action-factors-through-diagrams", "u": [0, -2], "v": [-2, 0]},
     ]
-    assert verify._column_bits(8) == 9
     assert run_suite("fcs-basis", 6, 2, 0).failures == failures
-    # Base 2 already separates the columns here: no extra or wrong image
-    # partition that adds or removes one box, searched at max-size 8, passes
-    # at base 2 and fails at the committed base.
-    monkeypatch.setattr(verify, "_column_bits", lambda n: 1)
-    assert run_suite("fcs-basis", 6, 2, 0).failures == failures
+
+
+def test_fcs_basis_builds_the_operand_once_per_letter(monkeypatch):
+    # the 139 partitions of at most 10 boxes form one weighted operand per
+    # run, which each of the 7 letters that end a drawn word acts on once
+    operand = set(enumerate_partitions(10))
+    assert len(operand) == 139
+    calls = Counter()
+    apply_word = fock.apply_word
+
+    def counting(vec, word, *rest):
+        if set(vec) == operand:
+            calls[tuple(word)] += 1
+        return apply_word(vec, word, *rest)
+
+    monkeypatch.setattr(fock, "apply_word", counting)
+    assert run_suite("fcs-basis", 10, 3, 0).ok
+    assert calls == {(q,): 1 for q in range(-3, 4)}
 
 
 RELATION_SUITES = {"xi": "tl-relations", "xi-prime": "tl-prime-relations"}
